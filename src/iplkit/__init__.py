@@ -11,13 +11,14 @@ bridge between the two semantics.
 from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Var,
                       Variable, all_formulas, decode, depth, encode, iff, neg,
                       pairing, parse, render, subformulas, unpairing, var,
-                      variables)
+                      variable_indices, variables)
 from .proof import (CATALOG, ProofTerm, check, deduction_theorem, derived,
                     infer_conclusion, proof_from_json, proof_to_json, weaken)
 from .kripke import (KripkeModel, consequence_over_models, enumerate_models,
-                     find_countermodel, forces, forces_all,
+                     find_countermodel, first_refutation, forces, forces_all,
                      forcing_is_monotone, make_model, model_from_json,
-                     model_to_json, valid_in_model, validate_model)
+                     model_to_json, truth_mask, valid_in_model,
+                     validate_model)
 from .heyting import (FiniteHeytingAlgebra, Interpretation, algebra_from_json,
                       algebra_from_le, algebra_to_json, chain,
                       consequence_over_algebras, generated_filter,

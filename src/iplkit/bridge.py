@@ -13,21 +13,18 @@ from itertools import permutations
 from typing import Optional
 
 from .formula import Formula, render, variables
-from .heyting import (FiniteHeytingAlgebra, Interpretation, interpret,
-                      make_algebra, make_interpretation, prime_filters,
-                      true_in_algebra, validate_algebra)
-from .kripke import (KripkeModel, _forces, make_model, valid_in_model,
-                     validate_model)
+from .heyting import (FiniteHeytingAlgebra, Interpretation,
+                      consequence_over_algebras, interpret, make_algebra,
+                      make_interpretation, prime_filters, true_in_algebra,
+                      validate_algebra)
+from .kripke import (KripkeModel, _closed_subsets, consequence_over_models,
+                     make_model, truth_mask, valid_in_model, validate_model)
 
 
 def closed_sets(model: KripkeModel) -> list:
     """All upward-closed world sets, ordered by (size, elements)."""
-    out = []
-    for mask in range(1 << model.worlds):
-        sub = frozenset(w for w in range(model.worlds) if mask >> w & 1)
-        if all(j in sub for i, j in model.rel if i in sub):
-            out.append(sub)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(_closed_subsets(model.rel, model.worlds, up=True),
+                  key=lambda s: (len(s), tuple(sorted(s))))
 
 
 @dataclass(frozen=True)
@@ -42,27 +39,20 @@ class ClosedSetAlgebra:
 
 def closed_set_algebra(model: KripkeModel, name: str = "") -> ClosedSetAlgebra:
     """The Heyting algebra of closed sets: join is union, meet is
-    intersection, and himp(A, B) is the union of the closed subsets of
-    (W minus A) union B."""
+    intersection, and himp(A, B) is W minus the worlds that see a world
+    of A minus B."""
     if validate_model(model):
         raise ValueError("closed_set_algebra requires a valid model")
     sets = tuple(closed_sets(model))
-    index = {s: i for i, s in enumerate(sets)}
-    universe = frozenset(range(model.worlds))
+    masks = [sum(1 << w for w in s) for s in sets]
+    index = {m: i for i, m in enumerate(masks)}
+    _, full, down = model.masks
     size = len(sets)
-    le = [[sets[i] <= sets[j] for j in range(size)] for i in range(size)]
-    meet = [[index[sets[i] & sets[j]] for j in range(size)] for i in range(size)]
-    join = [[index[sets[i] | sets[j]] for j in range(size)] for i in range(size)]
-    himp = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            bound = (universe - sets[i]) | sets[j]
-            union = frozenset().union(*(x for x in sets if x <= bound))
-            row.append(index[union])
-        himp.append(row)
-    alg = make_algebra(size, le, meet, join, himp,
-                       index[frozenset()], index[universe],
+    le = [[a & ~b == 0 for b in masks] for a in masks]
+    meet = [[index[a & b] for b in masks] for a in masks]
+    join = [[index[a | b] for b in masks] for a in masks]
+    himp = [[index[full & ~down(a & ~b)] for b in masks] for a in masks]
+    alg = make_algebra(size, le, meet, join, himp, index[0], index[full],
                        name or f"Up({model.worlds}w)")
     bad = validate_algebra(alg)
     if bad:
@@ -72,9 +62,8 @@ def closed_set_algebra(model: KripkeModel, name: str = "") -> ClosedSetAlgebra:
 
 def truth_set(model: KripkeModel, phi: Formula) -> frozenset:
     """The worlds forcing phi; always a closed set."""
-    cache: dict = {}
-    out = frozenset(w for w in range(model.worlds)
-                    if _forces(model, w, phi, cache))
+    mask = truth_mask(phi, *model.masks)
+    out = frozenset(w for w in range(model.worlds) if mask >> w & 1)
     for i, j in model.rel:
         if i in out and j not in out:
             raise RuntimeError(f"truth set of {render(phi)} is not closed")
@@ -125,9 +114,9 @@ def algebra_model_agreement(alg: FiniteHeytingAlgebra,
     filters = prime_filters(alg)
     frame = prime_filter_frame(alg, interp)
     element = interpret(interp, phi)
-    cache: dict = {}
+    mask = truth_mask(phi, *frame.masks)
     for i, f in enumerate(filters):
-        if _forces(frame, i, phi, cache) != (element in f):
+        if bool(mask >> i & 1) != (element in f):
             return False
     return true_in_algebra(interp, phi) == valid_in_model(frame, phi)
 
@@ -200,24 +189,12 @@ def validity_harness(formulas, models, algebras) -> HarnessReport:
     discrepancy is a defect, never a valid outcome."""
     entries = []
     for phi in formulas:
-        idx = sorted(v.index for v in variables(phi))
-        kripke_witness = None
-        for i, model in enumerate(models):
-            if kripke_witness is not None:
-                break
-            cache: dict = {}
-            for w in range(model.worlds):
-                if not _forces(model, w, phi, cache):
-                    kripke_witness = (i, w)
-                    break
-        algebra_witness = None
-        for i, alg in enumerate(algebras):
-            if algebra_witness is not None:
-                break
-            for interp in _all_assignments(alg, idx):
-                if not true_in_algebra(interp, phi):
-                    algebra_witness = (i, interp.assignment)
-                    break
+        kripke = consequence_over_models(models, [], phi)
+        kripke_witness = (None if kripke.holds
+                          else (kripke.model_index, kripke.world))
+        algebra = consequence_over_algebras(algebras, [], phi)
+        algebra_witness = (None if algebra.holds
+                           else (algebra.algebra_index, algebra.assignment))
         problems = []
         bridged_algebra = None
         bridged_frame = None
@@ -250,10 +227,3 @@ def validity_harness(formulas, models, algebras) -> HarnessReport:
             discrepancies=tuple(problems),
         ))
     return HarnessReport(tuple(entries))
-
-
-def _all_assignments(alg: FiniteHeytingAlgebra, var_indices):
-    from itertools import product
-    indices = tuple(sorted(var_indices))
-    for choice in product(range(alg.size), repeat=len(indices)):
-        yield Interpretation(alg, tuple(zip(indices, choice)))

@@ -12,16 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 
 from .bridge import closed_set_algebra, prime_filter_frame, validity_harness
 from .catalog import standard_algebras
-from .formula import ParseError, decode, encode, parse, render, variables
-from .heyting import (Interpretation, algebra_from_json, algebra_to_json,
-                      interpret, is_filter, make_interpretation,
-                      prime_filters, super_prime_filter)
-from .kripke import (_models, find_countermodel, forces, model_from_json,
-                     model_to_json)
+from .formula import (ParseError, decode, encode, parse, render,
+                      variable_indices)
+from .heyting import (algebra_from_json, algebra_to_json,
+                      consequence_over_algebras, interpret,
+                      make_interpretation, prime_filters, super_prime_filter)
+from .kripke import (_models, consequence_over_models, find_countermodel,
+                     forces, model_from_json, model_to_json)
 from .lindenbaum import build_quotient, provably_leq
 from .proof import ProofError, check, proof_from_json
 from .theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
@@ -155,9 +155,9 @@ def _cmd_eval(args):
 def _cmd_valid(args):
     model = _load_model(args.model)
     phi = _parse_formula(args.formula)
-    for world in range(model.worlds):
-        if not forces(model, world, phi):
-            return EXIT_NEGATIVE, {"valid": False, "world": world}
+    verdict = consequence_over_models([model], [], phi)
+    if not verdict.holds:
+        return EXIT_NEGATIVE, {"valid": False, "world": verdict.world}
     return EXIT_POSITIVE, {"valid": True, "world": None}
 
 
@@ -189,24 +189,16 @@ def _cmd_alg_eval(args):
 def _cmd_alg_valid(args):
     alg = _load_algebra(args.algebra)
     phi = _parse_formula(args.formula)
-    indices = tuple(sorted(v.index for v in variables(phi)))
-    for choice in product(range(alg.size), repeat=len(indices)):
-        interp = Interpretation(alg, tuple(zip(indices, choice)))
-        if interpret(interp, phi) != alg.top:
-            witness = {f"p{v}": e for v, e in interp.assignment}
-            return EXIT_NEGATIVE, {"valid": False, "assignment": witness}
+    verdict = consequence_over_algebras([alg], [], phi)
+    if not verdict.holds:
+        witness = {f"p{v}": e for v, e in verdict.assignment}
+        return EXIT_NEGATIVE, {"valid": False, "assignment": witness}
     return EXIT_POSITIVE, {"valid": True, "assignment": None}
 
 
 def _cmd_filters(args):
     alg = _load_algebra(args.algebra)
-    out = []
-    for mask in range(1 << alg.size):
-        cand = frozenset(i for i in range(alg.size) if mask >> i & 1)
-        if is_filter(alg, cand):
-            out.append(sorted(cand))
-    out.sort(key=lambda s: (len(s), s))
-    return EXIT_POSITIVE, {"filters": out}
+    return EXIT_POSITIVE, {"filters": [sorted(f) for f in alg.filters]}
 
 
 def _cmd_prime_filters(args):
@@ -313,8 +305,8 @@ def _cmd_harness(args):
     if args.model:
         models = [_load_model(path) for path in args.model]
     else:
-        idx = sorted({v.index for f in formulas for v in variables(f)})
-        models = [m for n in (1, 2) for m in _models(tuple(idx), n)]
+        idx = tuple(variable_indices(formulas))
+        models = [m for n in (1, 2) for m in _models(idx, n)]
     if args.algebra:
         algebras = [_load_algebra(path) for path in args.algebra]
     else:
@@ -455,6 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Formula codes are unbounded; argparse and json convert them through
+    # str, which Python 3.10.7 and later limit to 4300 digits by default.
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_digit_limit is not None:
+        set_digit_limit(0)
     try:
         parser = build_parser()
     except ValueError as exc:
@@ -466,13 +463,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         code, payload = args.handler(args)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except RecursionError:
+        print("input is nested too deeply to process", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text + "\n")
     return code
 
 

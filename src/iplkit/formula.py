@@ -87,6 +87,11 @@ def variables(phi: Formula) -> frozenset:
     return frozenset(f.var for f in subformulas(phi) if isinstance(f, Variable))
 
 
+def variable_indices(formulas) -> list:
+    """Sorted indices of the variables occurring in any of the formulas."""
+    return sorted({v.index for f in formulas for v in variables(f)})
+
+
 def depth(phi: Formula) -> int:
     """Tree depth; leaves (variables and bot) have depth 1."""
     if isinstance(phi, (Variable, Bottom)):

@@ -11,10 +11,11 @@ filter avoiding a point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
-from .formula import And, Bottom, Formula, Or, Variable, variables
+from .formula import And, Bottom, Formula, Or, Variable, variable_indices
 
 
 class MalformedAlgebra(ValueError):
@@ -46,6 +47,18 @@ class FiniteHeytingAlgebra:
 
     def leq(self, a: int, b: int) -> bool:
         return self.le[a][b]
+
+    @cached_property
+    def filters(self) -> tuple:
+        """Every filter, sorted by (size, elements): the one scan of all
+        2^size subsets, made on first use and kept with the algebra."""
+        rng = range(self.size)
+        out = []
+        for mask in range(1 << self.size):
+            members = [a for a in rng if mask >> a & 1]
+            if is_filter(self, members):
+                out.append(frozenset(members))
+        return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
 @dataclass(frozen=True)
@@ -236,9 +249,8 @@ def generated_filter(alg: FiniteHeytingAlgebra, subset) -> frozenset:
     """
     s = frozenset(subset)
     members = None
-    for mask in range(1 << alg.size):
-        cand = frozenset(i for i in range(alg.size) if mask >> i & 1)
-        if s <= cand and is_filter(alg, cand):
+    for cand in alg.filters:
+        if s <= cand:
             members = cand if members is None else members & cand
     inf = _meet_fold(alg, sorted(s))
     by_meets = frozenset(a for a in range(alg.size) if alg.le[inf][a])
@@ -265,12 +277,7 @@ def is_prime_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
 
 def prime_filters(alg: FiniteHeytingAlgebra) -> list:
     """All prime filters, sorted by (size, elements)."""
-    out = []
-    for mask in range(1 << alg.size):
-        cand = frozenset(i for i in range(alg.size) if mask >> i & 1)
-        if is_prime_filter(alg, cand):
-            out.append(cand)
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+    return [f for f in alg.filters if is_prime_filter(alg, f)]
 
 
 def super_prime_filter(alg: FiniteHeytingAlgebra, flt, x: int) -> frozenset:
@@ -408,8 +415,7 @@ def _assignments(alg: FiniteHeytingAlgebra, var_indices) -> Iterable:
 
 def valid_in_algebra(alg: FiniteHeytingAlgebra, phi: Formula) -> bool:
     """True under every assignment of phi's variables into the algebra."""
-    idx = [v.index for v in variables(phi)]
-    return all(true_in_algebra(i, phi) for i in _assignments(alg, idx))
+    return consequence_over_algebras([alg], [], phi).holds
 
 
 @dataclass(frozen=True)
@@ -422,9 +428,7 @@ class AlgConsequenceVerdict:
 def consequence_over_algebras(algebras, gamma, phi) -> AlgConsequenceVerdict:
     """Algebraic semantic consequence restricted to the supplied catalog."""
     gamma = list(gamma)
-    idx = set()
-    for f in gamma + [phi]:
-        idx.update(v.index for v in variables(f))
+    idx = variable_indices(gamma + [phi])
     for i, alg in enumerate(algebras):
         for interp in _assignments(alg, idx):
             if all(true_in_algebra(interp, g) for g in gamma):

@@ -10,11 +10,11 @@ countermodels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .formula import And, Bottom, Formula, Or, Variable, encode, variables
+from .formula import And, Bottom, Formula, Or, Variable, variable_indices
 
 
 class EvalError(ValueError):
@@ -28,11 +28,12 @@ class KripkeModel:
     valuation: tuple  # ((var_index, frozenset of worlds), ...), sorted
 
     @cached_property
-    def successors(self) -> tuple:
-        out = [[] for _ in range(self.worlds)]
-        for i, j in sorted(self.rel):
-            out[i].append(j)
-        return tuple(tuple(js) for js in out)
+    def masks(self) -> tuple:
+        """(atoms, full, down) for truth_mask: each variable's truth set
+        and the set of all worlds as bitmasks (bit w for world w), and
+        down(s), the worlds that see some world of s."""
+        return ({v: sum(1 << w for w in ws) for v, ws in self.valuation},
+                (1 << self.worlds) - 1, _frame_down(self.rel, self.worlds))
 
     def var_indices(self) -> tuple:
         return tuple(v for v, _ in self.valuation)
@@ -42,6 +43,24 @@ class KripkeModel:
             if v == index:
                 return ws
         raise EvalError(f"variable p{index} is not declared in this model")
+
+
+@lru_cache(maxsize=4096)
+def _frame_down(rel: frozenset, worlds: int):
+    """down from per-world predecessor masks, shared by a frame's models."""
+    pred = [0] * worlds
+    for i, j in rel:
+        pred[j] |= 1 << i
+    return partial(_down, tuple(pred))
+
+
+def _down(pred: tuple, mask: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= pred[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def make_model(worlds: int, rel: Iterable, valuation: Mapping) -> KripkeModel:
@@ -85,60 +104,85 @@ def validate_model(model: KripkeModel) -> list:
     return out
 
 
-def _check_formula_vars(model: KripkeModel, phi: Formula) -> None:
-    declared = set(model.var_indices())
-    for v in variables(phi):
-        if v.index not in declared:
-            raise EvalError(f"variable p{v.index} is not declared in this model")
+def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
+               memo: Optional[dict] = None) -> int:
+    """The worlds forcing phi as a bitmask (bit w for world w), found
+    by an iterative walk, so nesting depth is not bounded by the stack.
+
+    atoms maps a variable index to its truth mask, full masks all worlds
+    and down(s) is the set of worlds that see some world of s.  With the
+    identity as down (a discrete frame) each world is a classical
+    assignment.  memo maps id(subformula) to its mask; formulas sharing
+    a memo share subformulas and must stay alive while it is in use.
+    """
+    memo = {} if memo is None else memo
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if id(f) in memo:
+            stack.pop()
+            continue
+        kind = type(f)
+        if kind is Variable:
+            mask = atoms.get(f.var.index)
+            if mask is None:
+                raise EvalError(
+                    f"variable p{f.var.index} is not declared in this model")
+        elif kind is Bottom:
+            mask = 0
+        else:
+            a = memo.get(id(f.lhs))
+            b = memo.get(id(f.rhs))
+            if a is None or b is None:
+                if a is None:
+                    stack.append(f.lhs)
+                if b is None:
+                    stack.append(f.rhs)
+                continue
+            if kind is And:
+                mask = a & b
+            elif kind is Or:
+                mask = a | b
+            else:
+                mask = full & ~down(a & ~b)
+        memo[id(f)] = mask
+        stack.pop()
+    return memo[id(phi)]
 
 
-def _forces(model: KripkeModel, world: int, phi: Formula, cache: dict) -> bool:
-    key = (world, phi)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(phi, Variable):
-        out = world in model.true_worlds(phi.var.index)
-    elif isinstance(phi, Bottom):
-        out = False
-    elif isinstance(phi, And):
-        out = (_forces(model, world, phi.lhs, cache)
-               and _forces(model, world, phi.rhs, cache))
-    elif isinstance(phi, Or):
-        out = (_forces(model, world, phi.lhs, cache)
-               or _forces(model, world, phi.rhs, cache))
-    else:
-        out = all(_forces(model, w2, phi.rhs, cache)
-                  for w2 in model.successors[world]
-                  if _forces(model, w2, phi.lhs, cache))
-    cache[key] = out
-    return out
+def first_refutation(gamma, phi: Formula, atoms: Mapping, full: int,
+                     down) -> Optional[int]:
+    """The lowest world forcing all of gamma but not phi, or None, with
+    truth_mask's frame arguments; phi is skipped once no world is left."""
+    gamma = list(gamma)
+    memo: dict = {}
+    mask = full
+    for g in gamma:
+        mask &= truth_mask(g, atoms, full, down, memo)
+        if not mask:
+            return None
+    mask &= ~truth_mask(phi, atoms, full, down, memo)
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 def forces(model: KripkeModel, world: int, phi: Formula) -> bool:
     """Intuitionistic truth of phi at a world of a valid model."""
     if not 0 <= world < model.worlds:
         raise EvalError(f"unknown world {world}")
-    _check_formula_vars(model, phi)
-    return _forces(model, world, phi, {})
+    return bool(truth_mask(phi, *model.masks) >> world & 1)
 
 
 def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
-    _check_formula_vars(model, phi)
-    cache: dict = {}
-    return all(_forces(model, w, phi, cache) for w in range(model.worlds))
+    return truth_mask(phi, *model.masks) == (1 << model.worlds) - 1
 
 
 def forces_all(model: KripkeModel, world: int, gamma) -> bool:
     """True iff every member of gamma holds at the world."""
     if not 0 <= world < model.worlds:
         raise EvalError(f"unknown world {world}")
-    cache: dict = {}
-    for phi in gamma:
-        _check_formula_vars(model, phi)
-        if not _forces(model, world, phi, cache):
-            return False
-    return True
+    memo: dict = {}
+    return all(truth_mask(g, *model.masks, memo) >> world & 1
+               for g in list(gamma))
 
 
 @dataclass(frozen=True)
@@ -150,26 +194,24 @@ class ConsequenceVerdict:
 
 def consequence_over_models(models, gamma, phi: Formula) -> ConsequenceVerdict:
     """Local semantic consequence restricted to the supplied model family."""
-    gamma = sorted(gamma, key=encode)
+    gamma = list(gamma)
     for i, model in enumerate(models):
-        for f in gamma + [phi]:
-            _check_formula_vars(model, f)
-        cache: dict = {}
-        for w in range(model.worlds):
-            if all(_forces(model, w, g, cache) for g in gamma):
-                if not _forces(model, w, phi, cache):
-                    return ConsequenceVerdict(False, i, w)
+        world = first_refutation(gamma, phi, *model.masks)
+        if world is not None:
+            return ConsequenceVerdict(False, i, world)
     return ConsequenceVerdict(True)
 
 
 def forcing_is_monotone(model: KripkeModel, formulas) -> bool:
-    """Exhaustive persistence check over the supplied formula family."""
-    cache: dict = {}
+    """Exhaustive persistence check over the supplied formula family: no
+    world forcing a formula sees a world that does not."""
+    formulas = list(formulas)
+    atoms, full, down = model.masks
+    memo: dict = {}
     for phi in formulas:
-        _check_formula_vars(model, phi)
-        for a, b in model.rel:
-            if _forces(model, a, phi, cache) and not _forces(model, b, phi, cache):
-                return False
+        mask = truth_mask(phi, atoms, full, down, memo)
+        if mask & down(full & ~mask):
+            return False
     return True
 
 
@@ -207,20 +249,11 @@ def _preorders(n: int) -> tuple:
 
 
 def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:
-    out = []
-    for mask in range(1 << n):
-        sub = frozenset(i for i in range(n) if mask >> i & 1)
-        ok = True
-        for a, b in rel:
-            if up and a in sub and b not in sub:
-                ok = False
-                break
-            if not up and b in sub and a not in sub:
-                ok = False
-                break
-        if ok:
-            out.append(sub)
-    return out
+    """The up-closed (or down-closed) subsets of range(n), in mask order."""
+    pairs = rel if up else [(b, a) for a, b in rel]
+    return [frozenset(i for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n)
+            if all(mask >> b & 1 for a, b in pairs if mask >> a & 1)]
 
 
 def _rel_key(rel: frozenset) -> tuple:
@@ -244,10 +277,6 @@ def _canonical_preorders(n: int) -> tuple:
     return tuple(sorted(out, key=_rel_key))
 
 
-def _upsets(rel: frozenset, n: int) -> list:
-    return sorted(_closed_subsets(rel, n, up=True), key=lambda s: tuple(sorted(s)))
-
-
 def _val_key(valuation: tuple) -> tuple:
     return tuple(tuple(sorted(ws)) for _, ws in valuation)
 
@@ -260,7 +289,8 @@ def _models(var_indices: tuple, n: int) -> tuple:
     for rel in _canonical_preorders(n):
         auts = [p for p in permutations(range(n))
                 if _relabel_rel(rel, p) == rel]
-        upsets = _upsets(rel, n)
+        upsets = sorted(_closed_subsets(rel, n, up=True),
+                        key=lambda s: tuple(sorted(s)))
         for choice in product(upsets, repeat=len(var_indices)):
             valuation = tuple(zip(var_indices, choice))
             key = _val_key(valuation)
@@ -286,17 +316,12 @@ def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     gamma = list(gamma)
-    idx = set()
-    for f in list(gamma) + [phi]:
-        idx.update(v.index for v in variables(f))
-    var_indices = tuple(sorted(idx))
+    var_indices = tuple(variable_indices(gamma + [phi]))
     for n in range(1, max_worlds + 1):
         for model in _models(var_indices, n):
-            cache: dict = {}
-            for w in range(n):
-                if (all(_forces(model, w, g, cache) for g in gamma)
-                        and not _forces(model, w, phi, cache)):
-                    return model, w
+            world = first_refutation(gamma, phi, *model.masks)
+            if world is not None:
+                return model, world
     return None
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
-from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Variable,
-                      all_formulas, encode, variables)
-from .kripke import (KripkeModel, find_countermodel, forces, forces_all,
-                     make_model, validate_model)
+from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
+                      encode, variable_indices)
+from .kripke import (KripkeModel, find_countermodel, first_refutation, forces,
+                     forces_all, make_model, validate_model)
 from .proof import ProofTerm, check
 from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
 
@@ -74,18 +74,6 @@ class Fails:
 
 class OracleInconclusive(Exception):
     """A verdict needed definitively came back Unknown."""
-
-
-def _classical(phi: Formula, env: dict) -> bool:
-    if isinstance(phi, Variable):
-        return env[phi.var.index]
-    if isinstance(phi, Bottom):
-        return False
-    if isinstance(phi, And):
-        return _classical(phi.lhs, env) and _classical(phi.rhs, env)
-    if isinstance(phi, Or):
-        return _classical(phi.lhs, env) or _classical(phi.rhs, env)
-    return (not _classical(phi.lhs, env)) or _classical(phi.rhs, env)
 
 
 class Oracle:
@@ -148,18 +136,24 @@ class Oracle:
 
     def _classical_countermodel(self, gamma: frozenset,
                                 phi: Formula) -> Optional[KripkeModel]:
-        idx = set()
-        for f in list(gamma) + [phi]:
-            idx.update(v.index for v in variables(f))
-        idx = sorted(idx)
-        if len(idx) > 16:
+        idx = variable_indices([*gamma, phi])
+        k = len(idx)
+        if k > 16:
             return None
-        for choice in product((False, True), repeat=len(idx)):
-            env = dict(zip(idx, choice))
-            if all(_classical(g, env) for g in gamma) and not _classical(phi, env):
-                return make_model(1, {(0, 0)},
-                                  {v: ([0] if env[v] else []) for v in idx})
-        return None
+        # World j of a discrete frame is the j-th assignment in truth-table
+        # order, False before True and idx[0] slowest: idx[i] holds at j
+        # iff bit k-1-i of j is set, the upper half of each block of 2 * run.
+        full = (1 << (1 << k)) - 1
+        atoms = {}
+        for i, v in enumerate(idx):
+            run = 1 << (k - 1 - i)
+            atoms[v] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+        world = first_refutation(gamma, phi, atoms, full, lambda mask: mask)
+        if world is None:
+            return None
+        return make_model(1, {(0, 0)},
+                          {v: [0] if world >> (k - 1 - i) & 1 else []
+                           for i, v in enumerate(idx)})
 
     def _certify_refuted(self, gamma, phi, model, world) -> Refuted:
         if validate_model(model):

@@ -278,3 +278,32 @@ class TestDeterminism:
         control = self.run_child(*argv)
         assert control.returncode == 1, control.stderr.decode()
         assert json.loads(control.stdout)["model"] is not None
+
+
+def run_module(*argv):
+    """A `python -m iplkit` child: its own interpreter, with its defaults."""
+    return subprocess.run([sys.executable, "-m", "iplkit", *argv],
+                          capture_output=True, text=True, env=child_env())
+
+
+class TestLargeInputs:
+    def test_encode_code_over_4300_digits_round_trips(self):
+        formula = "((((((p0 -> p1) -> p1) -> p1) -> p1) -> p1) -> p1) -> p1"
+        out = run_module("encode", formula)
+        assert out.returncode == 0, out.stderr
+        # parse_int=str: this interpreter still has the default limit
+        code = json.loads(out.stdout, parse_int=str)["code"]
+        assert len(code) > 4300
+        back = run_module("decode", code)
+        assert back.returncode == 0, back.stderr
+        assert json.loads(back.stdout, parse_int=str)["formula"] == formula
+
+    @pytest.mark.parametrize("text", ["(" * 1200 + "p0" + ")" * 1200,
+                                      "~" * 1200 + "p0"],
+                             ids=["parentheses", "negations"])
+    def test_too_deep_input_is_a_usage_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "parse", text)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

@@ -124,6 +124,34 @@ class TestFilters:
         assert prime_filters(B4) == [frozenset({1, 3}), frozenset({2, 3})]
 
 
+def by_size(filters):
+    return sorted(filters, key=lambda f: (len(f), sorted(f)))
+
+
+class TestFilterFamily:
+    """The filter family and what is read from it, against a scan of all
+    subsets."""
+
+    def test_family_matches_subset_scan(self):
+        for alg in standard_algebras():
+            assert list(alg.filters) == by_size(all_filters(alg)), alg.name
+
+    def test_prime_filters_match_subset_scan(self):
+        for alg in standard_algebras():
+            want = by_size(f for f in all_filters(alg)
+                           if is_prime_filter(alg, f))
+            assert prime_filters(alg) == want, alg.name
+
+    def test_generated_filter_matches_subset_scan(self):
+        for alg in standard_algebras():
+            filters = list(all_filters(alg))
+            for mask in range(1 << alg.size):
+                sub = frozenset(i for i in range(alg.size) if mask >> i & 1)
+                want = frozenset(range(alg.size)).intersection(
+                    *(f for f in filters if sub <= f))
+                assert generated_filter(alg, sub) == want, (alg.name, sub)
+
+
 class TestSuperPrime:
     def test_top_filter_avoiding_mid(self):
         assert super_prime_filter(C3, {2}, 1) == frozenset({2})

@@ -2,13 +2,15 @@ from itertools import permutations, product
 
 import pytest
 
+from iplkit.bridge import truth_set
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             all_formulas, neg, parse, var)
 from iplkit.kripke import (EvalError, Violation,
                            consequence_over_models, enumerate_models,
                            find_countermodel, forces, forces_all,
                            forcing_is_monotone, make_model, model_from_json,
-                           model_to_json, valid_in_model, validate_model)
+                           model_to_json, truth_mask, valid_in_model,
+                           validate_model)
 from iplkit.proof import (ContractionConj, ContractionDisj, Exfalso,
                           PermutationConj, PermutationDisj, WeakeningConj,
                           WeakeningDisj, check)
@@ -97,6 +99,51 @@ class TestValidity:
     def test_consequence_conjunction(self):
         m = make_model(1, {(0, 0)}, {0: [0]})
         assert consequence_over_models([m], [p0], And(p0, p0)).holds
+
+
+def reference_truth_set(model, phi, memo):
+    """The worlds forcing phi, read off the definition of forcing by
+    recursion over phi, checking implications world by world against
+    the relation's pairs; memo is keyed by id(subformula)."""
+    if id(phi) not in memo:
+        if isinstance(phi, Variable):
+            out = model.true_worlds(phi.var.index)
+        elif isinstance(phi, Bottom):
+            out = frozenset()
+        else:
+            a = reference_truth_set(model, phi.lhs, memo)
+            b = reference_truth_set(model, phi.rhs, memo)
+            if isinstance(phi, And):
+                out = a & b
+            elif isinstance(phi, Or):
+                out = a | b
+            else:
+                out = frozenset(w for w in range(model.worlds)
+                                if all(v in b for u, v in model.rel
+                                       if u == w and v in a))
+        memo[id(phi)] = out
+    return memo[id(phi)]
+
+
+class TestTruthMask:
+    def test_matches_recursive_reference(self):
+        formulas = all_formulas(2, 3)
+        for n in (1, 2, 3):
+            for m in enumerate_models(2, n):
+                ref_memo, mask_memo = {}, {}
+                for phi in formulas:
+                    want = sum(1 << w
+                               for w in reference_truth_set(m, phi, ref_memo))
+                    assert truth_mask(phi, *m.masks, mask_memo) == want
+
+    def test_deep_implication_chain(self):
+        phi = p0
+        for _ in range(3000):
+            phi = Implies(p0, phi)
+        m = chain2()
+        assert forces(m, 0, phi)
+        assert valid_in_model(m, phi)
+        assert truth_set(m, phi) == frozenset({0, 1})
 
 
 def brute_force_models(num_vars, num_worlds):

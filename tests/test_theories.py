@@ -1,8 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 
-from iplkit.formula import (And, BOT, Implies, Or, TOP, encode, neg, parse,
-                            var)
-from iplkit.kripke import forces, forces_all, validate_model
+from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
+                            encode, neg, parse, var, variables)
+from iplkit.kripke import forces, forces_all, make_model, validate_model
 from iplkit.proof import Premise, check
 from iplkit.theories import (Budget, Fails, Holds, Oracle,
                              Provable, Refuted, Unknown,
@@ -99,6 +102,64 @@ class TestOracle:
         a = oracle.provable(frozenset(), Implies(p0, p0))
         b = oracle.provable(frozenset(), Implies(p0, p0))
         assert a is b
+
+
+def classical(phi, env):
+    if isinstance(phi, Variable):
+        return env[phi.var.index]
+    if isinstance(phi, Bottom):
+        return False
+    if isinstance(phi, And):
+        return classical(phi.lhs, env) and classical(phi.rhs, env)
+    if isinstance(phi, Or):
+        return classical(phi.lhs, env) or classical(phi.rhs, env)
+    return not classical(phi.lhs, env) or classical(phi.rhs, env)
+
+
+def truth_table_countermodel(gamma, phi):
+    """The one-world model of the first assignment, in
+    product((False, True)) order over the sorted variables, that makes
+    gamma true and phi false; None if there is none."""
+    idx = sorted({v.index for f in [*gamma, phi] for v in variables(f)})
+    for choice in product((False, True), repeat=len(idx)):
+        env = dict(zip(idx, choice))
+        if all(classical(g, env) for g in gamma) and not classical(phi, env):
+            return make_model(1, {(0, 0)},
+                              {v: [0] if env[v] else [] for v in idx})
+    return None
+
+
+def random_formula(rng, size, num_vars):
+    if size == 0:
+        return BOT if rng.random() < 0.1 else var(rng.randrange(num_vars))
+    left = rng.randrange(size)
+    ctor = rng.choice((And, Or, Implies))
+    return ctor(random_formula(rng, left, num_vars),
+                random_formula(rng, size - 1 - left, num_vars))
+
+
+class TestClassicalScan:
+    def test_matches_truth_table_on_universe_pairs(self):
+        items = canonical_universe(3, 1).items
+        oracle = Oracle()
+        refuted = 0
+        for g in items:
+            for phi in items:
+                want = truth_table_countermodel([g], phi)
+                got = oracle._classical_countermodel(frozenset({g}), phi)
+                assert got == want, (g, phi)
+                refuted += want is not None
+        assert refuted > 1000
+
+    def test_matches_truth_table_with_more_variables(self):
+        rng = random.Random(5)
+        oracle = Oracle()
+        for _ in range(200):
+            gamma = [random_formula(rng, 6, 7)
+                     for _ in range(rng.randrange(3))]
+            phi = random_formula(rng, 8, 7)
+            assert (oracle._classical_countermodel(frozenset(gamma), phi)
+                    == truth_table_countermodel(gamma, phi))
 
 
 class TestTheoryPredicates:

@@ -31,22 +31,46 @@ class Bottom:
     pass
 
 
+def _binary_hash(node) -> int:
+    """hash((lhs, rhs)), the dataclass hash, computed bottom-up on first
+    use with an explicit stack and cached on every node it reaches, so
+    formulas of any depth hash without recursion."""
+    if node._hash is None:
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            todo = [k for k in (top.lhs, top.rhs)
+                    if getattr(k, "_hash", 0) is None]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                object.__setattr__(top, "_hash", hash((top.lhs, top.rhs)))
+    return node._hash
+
+
 @dataclass(frozen=True)
 class And:
     lhs: "Formula"
     rhs: "Formula"
+    _hash = None
+    __hash__ = _binary_hash
 
 
 @dataclass(frozen=True)
 class Or:
     lhs: "Formula"
     rhs: "Formula"
+    _hash = None
+    __hash__ = _binary_hash
 
 
 @dataclass(frozen=True)
 class Implies:
     lhs: "Formula"
     rhs: "Formula"
+    _hash = None
+    __hash__ = _binary_hash
 
 
 Formula = Union[Variable, Bottom, And, Or, Implies]

@@ -100,6 +100,8 @@ _AXIOM_TYPES = (
     PermutationDisj, PermutationConj, Exfalso,
 )
 
+_NO_PREMISES: frozenset = frozenset()
+
 
 class ProofError(Exception):
     """Checking failure; carries the root-to-node child-index path."""
@@ -157,73 +159,96 @@ def _children(node) -> tuple:
     return ()
 
 
-def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
-    """Post-order fold computing id(node) -> conclusion.
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing an operand that already holds the other."""
+    return a if b <= a else b if a <= b else a | b
 
-    Shared subterms are checked once, so DAG-shaped proofs stay linear.
+
+def _path(link) -> tuple:
+    """Root-to-node child indices from a (parent link, index) chain."""
+    out = []
+    while link is not None:
+        link, i = link
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset],
+                    table: Optional[dict] = None) -> dict:
+    """Post-order fold filling id(node) -> (node, conclusion, free premises).
+
+    Shared subterms are checked once, so DAG-shaped proofs stay linear,
+    and the fold stops at nodes already in the given table, so a table
+    kept across calls is only extended by the nodes built since.  Each
+    entry holds its node, so no id is reused while the table lives.
     With gamma=None, premise membership is not enforced (pure shape
     inference).
     """
-    out: dict = {}
-    stack = [(proof, (), False)]
+    out: dict = {} if table is None else table
+    stack = [(proof, None, None)]
     while stack:
-        node, path, expanded = stack.pop()
+        node, link, kids = stack.pop()
         if id(node) in out:
             continue
-        if not expanded:
-            stack.append((node, path, True))
-            for i, child in enumerate(_children(node)):
-                stack.append((child, path + (i,), False))
+        if kids is None:
+            kids = _children(node)
+            stack.append((node, link, kids))
+            for i, child in enumerate(kids):
+                stack.append((child, (link, i), None))
             continue
         if isinstance(node, Premise):
             if gamma is not None and node.formula not in gamma:
-                raise PremiseNotInContext(node.formula, path)
-            out[id(node)] = node.formula
+                raise PremiseNotInContext(node.formula, _path(link))
+            concl, free = node.formula, frozenset((node.formula,))
         elif isinstance(node, _AXIOM_TYPES):
-            out[id(node)] = _axiom_conclusion(node)
+            concl, free = _axiom_conclusion(node), _NO_PREMISES
         elif isinstance(node, ModusPonens):
-            minor = out[id(node.minor)]
-            major = out[id(node.major)]
+            _, minor, f1 = out[id(node.minor)]
+            _, major, f2 = out[id(node.major)]
             if not (isinstance(major, Implies) and major.lhs == minor):
-                raise RuleShapeMismatch("modus_ponens", (minor, major), path)
-            out[id(node)] = major.rhs
+                raise RuleShapeMismatch("modus_ponens", (minor, major),
+                                        _path(link))
+            concl, free = major.rhs, _union(f1, f2)
         elif isinstance(node, Syllogism):
-            first = out[id(node.first)]
-            second = out[id(node.second)]
+            _, first, f1 = out[id(node.first)]
+            _, second, f2 = out[id(node.second)]
             if not (isinstance(first, Implies) and isinstance(second, Implies)
                     and first.rhs == second.lhs):
-                raise RuleShapeMismatch("syllogism", (first, second), path)
-            out[id(node)] = Implies(first.lhs, second.rhs)
+                raise RuleShapeMismatch("syllogism", (first, second),
+                                        _path(link))
+            concl, free = Implies(first.lhs, second.rhs), _union(f1, f2)
         elif isinstance(node, Exportation):
-            sub = out[id(node.sub)]
+            _, sub, free = out[id(node.sub)]
             if not (isinstance(sub, Implies) and isinstance(sub.lhs, And)):
-                raise RuleShapeMismatch("exportation", (sub,), path)
-            out[id(node)] = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
+                raise RuleShapeMismatch("exportation", (sub,), _path(link))
+            concl = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
         elif isinstance(node, Importation):
-            sub = out[id(node.sub)]
+            _, sub, free = out[id(node.sub)]
             if not (isinstance(sub, Implies) and isinstance(sub.rhs, Implies)):
-                raise RuleShapeMismatch("importation", (sub,), path)
-            out[id(node)] = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
+                raise RuleShapeMismatch("importation", (sub,), _path(link))
+            concl = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
         elif isinstance(node, Expansion):
-            sub = out[id(node.sub)]
+            _, sub, free = out[id(node.sub)]
             if not isinstance(sub, Implies):
-                raise RuleShapeMismatch("expansion", (sub,), path)
-            out[id(node)] = Implies(Or(node.disjunct, sub.lhs),
-                                    Or(node.disjunct, sub.rhs))
+                raise RuleShapeMismatch("expansion", (sub,), _path(link))
+            concl = Implies(Or(node.disjunct, sub.lhs),
+                            Or(node.disjunct, sub.rhs))
         else:
-            raise ProofError(f"unknown node {type(node).__name__}", path)
+            raise ProofError(f"unknown node {type(node).__name__}",
+                             _path(link))
+        out[id(node)] = (node, concl, free)
     return out
 
 
 def check(gamma, proof: ProofTerm) -> Formula:
     """Conclusion of proof relative to the premise set gamma."""
     gamma = frozenset(gamma)
-    return _conclusion_map(proof, gamma)[id(proof)]
+    return _conclusion_map(proof, gamma)[id(proof)][1]
 
 
 def infer_conclusion(proof: ProofTerm) -> Formula:
     """Conclusion shape of proof, ignoring premise membership."""
-    return _conclusion_map(proof, None)[id(proof)]
+    return _conclusion_map(proof, None)[id(proof)][1]
 
 
 def weaken(gamma, gamma_prime, proof: ProofTerm) -> ProofTerm:
@@ -236,14 +261,23 @@ def weaken(gamma, gamma_prime, proof: ProofTerm) -> ProofTerm:
     return proof
 
 
-def subst_premise(proof: ProofTerm, target: Formula,
-                  replacement: ProofTerm) -> ProofTerm:
-    """Replace every Premise(target) node by the given replacement proof."""
+def subst_premise(proof: ProofTerm, target: Formula, replacement: ProofTerm,
+                  table: Optional[dict] = None) -> ProofTerm:
+    """Replace every Premise(target) node by the given replacement proof.
+
+    Given a table of _conclusion_map, which is extended to cover proof,
+    subtrees whose free premises lack target are kept without a walk.
+    """
+    if table is not None:
+        _conclusion_map(proof, None, table)
     memo: dict = {}
     stack = [(proof, False)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in memo:
+            continue
+        if table is not None and target not in table[id(node)][2]:
+            memo[id(node)] = node
             continue
         kids = _children(node)
         if not expanded:
@@ -648,47 +682,27 @@ def derived(name: str, *args) -> ProofTerm:
 def deduction_theorem(gamma, phi: Formula, proof: ProofTerm) -> ProofTerm:
     """Transform a proof of gamma, phi |- psi into one of gamma |- phi -> psi."""
     gamma = frozenset(gamma)
-    concl = _conclusion_map(proof, gamma | {phi})
-    return _deduce(phi, proof, concl)
+    return _deduce(phi, proof, _conclusion_map(proof, gamma | {phi}))
 
 
-def _uses_premise(phi: Formula, proof: ProofTerm) -> dict:
-    """id(node) -> whether the subtree contains Premise(phi)."""
-    out: dict = {}
-    stack = [(proof, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in out:
-            continue
-        kids = _children(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-            continue
-        if isinstance(node, Premise):
-            out[id(node)] = node.formula == phi
-        else:
-            out[id(node)] = any(out[id(k)] for k in kids)
-    return out
-
-
-def _deduce(phi: Formula, proof: ProofTerm, concl: dict) -> ProofTerm:
-    """Core of the deduction theorem; concl maps input node ids to their
-    conclusions, already verified against gamma | {phi}.
+def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
+    """Core of the deduction theorem; table is a table of _conclusion_map,
+    extended here to cover proof, whose shapes are taken as good.
 
     Subtrees that never mention the discharged premise are kept intact
     and prefixed with a K-style wrapper, so only the spine touching
-    Premise(phi) is rebuilt.
+    Premise(phi) is rebuilt, and only that spine is walked.
     """
-    uses = _uses_premise(phi, proof)
+    _conclusion_map(proof, None, table)
     memo: dict = {}
     stack = [(proof, False)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in memo:
             continue
-        if not uses[id(node)]:
-            memo[id(node)] = ModusPonens(node, k_axiom(concl[id(node)], phi))
+        _, concl, free = table[id(node)]
+        if phi not in free:
+            memo[id(node)] = ModusPonens(node, k_axiom(concl, phi))
             continue
         kids = _children(node)
         if not expanded:
@@ -696,15 +710,15 @@ def _deduce(phi: Formula, proof: ProofTerm, concl: dict) -> ProofTerm:
             stack.extend((k, False) for k in kids)
             continue
         if isinstance(node, Premise):
-            # uses[] holds, so this is the discharged premise itself
+            # phi is free here, so this is the discharged premise itself
             out = identity(phi)
         elif isinstance(node, ModusPonens):
-            major = concl[id(node.major)]
+            major = table[id(node.major)][1]
             out = _s_rule(phi, major.lhs, major.rhs,
                           memo[id(node.minor)], memo[id(node.major)])
         elif isinstance(node, Syllogism):
-            c1 = concl[id(node.first)]
-            c2 = concl[id(node.second)]
+            c1 = table[id(node.first)][1]
+            c2 = table[id(node.second)][1]
             alpha, beta, gam = c1.lhs, c1.rhs, c2.rhs
             imp1 = Importation(memo[id(node.first)])
             imp2 = Importation(memo[id(node.second)])
@@ -714,19 +728,19 @@ def _deduce(phi: Formula, proof: ProofTerm, concl: dict) -> ProofTerm:
                                identity(And(phi, alpha)))
             out = Exportation(Syllogism(dup, Syllogism(mono, imp2)))
         elif isinstance(node, Exportation):
-            c = concl[id(node.sub)]
+            c = table[id(node.sub)][1]
             alpha, beta = c.lhs.lhs, c.lhs.rhs
             core = Syllogism(and_assoc_left(phi, alpha, beta),
                              Importation(memo[id(node.sub)]))
             out = Exportation(Exportation(core))
         elif isinstance(node, Importation):
-            c = concl[id(node.sub)]
+            c = table[id(node.sub)][1]
             alpha, beta = c.lhs, c.rhs.lhs
             core = Syllogism(and_assoc_right(phi, alpha, beta),
                              Importation(Importation(memo[id(node.sub)])))
             out = Exportation(core)
         else:
-            c = concl[id(node.sub)]
+            c = table[id(node.sub)][1]
             alpha, beta, chi = c.lhs, c.rhs, node.disjunct
             imp = Importation(memo[id(node.sub)])
             v1 = Syllogism(and_elim_right(phi, chi), WeakeningDisj(chi, beta))

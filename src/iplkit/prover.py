@@ -16,8 +16,8 @@ from typing import Optional
 from .formula import And, BOT, Bottom, Formula, Implies, Or, Variable, encode
 from .proof import (Exfalso, Exportation, ModusPonens, Premise, ProofTerm,
                     Syllogism, WeakeningConj, WeakeningDisj, _and_intro,
-                    _conclusion_map, _deduce, _or_elim, and_elim_right,
-                    k_axiom, or_intro_right, subst_premise)
+                    _deduce, _or_elim, and_elim_right, k_axiom,
+                    or_intro_right, subst_premise)
 
 DEFAULT_MAX_DEPTH = 512
 
@@ -28,15 +28,26 @@ class SearchBudgetExceeded(Exception):
 
 class Prover:
     """Reusable decision procedure; verdicts and witnesses are memoized
-    per (premises, goal) sequent."""
+    per (premises, goal) sequent.
+
+    Witness building shares one table of proof._conclusion_map per query
+    (conclusion and free premises of every node built so far), so each
+    deduction or premise substitution walks only the spine that uses the
+    premise.  The table keeps its nodes alive and is dropped when the
+    query ends.
+    """
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
         self.max_depth = max_depth
         self._memo: dict = {}
+        self._table: dict = {}
 
     def prove(self, premises, goal: Formula) -> Optional[ProofTerm]:
         """A proof term for premises |- goal, or None if there is none."""
-        return self._prove(frozenset(premises), goal, self.max_depth)
+        try:
+            return self._prove(frozenset(premises), goal, self.max_depth)
+        finally:
+            self._table.clear()
 
     def _prove(self, prem: frozenset, goal: Formula,
                depth: int) -> Optional[ProofTerm]:
@@ -52,7 +63,11 @@ class Prover:
 
     def _deduction(self, phi: Formula, proof: ProofTerm) -> ProofTerm:
         # internal fast path: shapes are known good, skip premise checks
-        return _deduce(phi, proof, _conclusion_map(proof, None))
+        return _deduce(phi, proof, self._table)
+
+    def _subst(self, proof: ProofTerm, target: Formula,
+               replacement: ProofTerm) -> ProofTerm:
+        return subst_premise(proof, target, replacement, self._table)
 
     def _search(self, prem: frozenset, goal: Formula,
                 depth: int) -> Optional[ProofTerm]:
@@ -82,10 +97,10 @@ class Prover:
                 q = self._prove((prem - {delta}) | {a, b}, goal, depth)
                 if q is None:
                     return None
-                q = subst_premise(
+                q = self._subst(
                     q, a, ModusPonens(Premise(delta), WeakeningConj(a, b)))
                 if b != a:
-                    q = subst_premise(
+                    q = self._subst(
                         q, b, ModusPonens(Premise(delta), and_elim_right(a, b)))
                 return q
             if isinstance(delta, Or):
@@ -108,24 +123,24 @@ class Prover:
                     q = self._prove((prem - {delta}) | {body}, goal, depth)
                     if q is None:
                         return None
-                    return subst_premise(
+                    return self._subst(
                         q, body, ModusPonens(Premise(ante), Premise(delta)))
                 if isinstance(ante, And):
                     rep = Implies(ante.lhs, Implies(ante.rhs, body))
                     q = self._prove((prem - {delta}) | {rep}, goal, depth)
                     if q is None:
                         return None
-                    return subst_premise(q, rep, Exportation(Premise(delta)))
+                    return self._subst(q, rep, Exportation(Premise(delta)))
                 if isinstance(ante, Or):
                     rep1 = Implies(ante.lhs, body)
                     rep2 = Implies(ante.rhs, body)
                     q = self._prove((prem - {delta}) | {rep1, rep2}, goal, depth)
                     if q is None:
                         return None
-                    q = subst_premise(q, rep1, Syllogism(
+                    q = self._subst(q, rep1, Syllogism(
                         WeakeningDisj(ante.lhs, ante.rhs), Premise(delta)))
                     if rep2 != rep1:
-                        q = subst_premise(q, rep2, Syllogism(
+                        q = self._subst(q, rep2, Syllogism(
                             or_intro_right(ante.lhs, ante.rhs), Premise(delta)))
                     return q
 
@@ -151,7 +166,7 @@ class Prover:
                 continue
             h = Premise(delta)
             inner_to_body = Syllogism(k_axiom(inner.rhs, inner.lhs), h)
-            q1 = subst_premise(q1, Implies(inner.rhs, body), inner_to_body)
+            q1 = self._subst(q1, Implies(inner.rhs, body), inner_to_body)
             body_proof = ModusPonens(q1, h)
-            return subst_premise(q2, body, body_proof)
+            return self._subst(q2, body, body_proof)
         return None

@@ -179,3 +179,30 @@ class TestStructure:
         family = all_formulas(2, 2)
         codes = [encode(f) for f in family]
         assert codes == sorted(codes)
+
+
+def nested_tuples(phi):
+    """phi with every connective replaced by the pair of its operands; a
+    tuple hashes its items the way the dataclass hash does, recursively."""
+    if isinstance(phi, (And, Or, Implies)):
+        return (nested_tuples(phi.lhs), nested_tuples(phi.rhs))
+    return phi
+
+
+def implication_chain(n, last=p0):
+    phi = last
+    for _ in range(n):
+        phi = Implies(p0, phi)
+    return phi
+
+
+class TestCachedHash:
+    def test_equals_recursive_dataclass_hash(self):
+        for phi in all_formulas(2, 3):
+            assert hash(phi) == hash(nested_tuples(phi))
+
+    def test_deep_chain(self):
+        phi = implication_chain(3000)
+        assert hash(phi) == hash(implication_chain(3000))
+        assert len({phi, implication_chain(3000, p1)}) == 2
+        assert len(subformulas(phi)) == 3001

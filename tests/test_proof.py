@@ -56,6 +56,23 @@ class TestCheck:
             check([p0], nested)
         assert err.value.path == (1,)
 
+    def test_deep_bad_premise_path(self):
+        # a premise outside the context 350 rules down, under rules of
+        # one and two subproofs, is reported with its whole path
+        term, steps = Premise(p1), []
+        for i in range(350):
+            if i % 2:
+                term, step = Exportation(term), 0
+            else:
+                term, step = ModusPonens(Premise(p0), term), 1
+            steps.append(step)
+        path = tuple(reversed(steps))
+        with pytest.raises(PremiseNotInContext) as err:
+            check([p0], term)
+        assert err.value.formula == p1
+        assert err.value.path == path
+        assert str(err.value).endswith(f"(node path {list(path)})")
+
     def test_rule_conclusions(self):
         assert check([p0, Implies(p0, p1)],
                      ModusPonens(Premise(p0), Premise(Implies(p0, p1)))) == p1

@@ -5,7 +5,8 @@ import pytest
 
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             encode, neg, parse, var, variables)
-from iplkit.kripke import forces, forces_all, make_model, validate_model
+from iplkit.kripke import (find_countermodel, forces, forces_all, make_model,
+                           validate_model)
 from iplkit.proof import Premise, check
 from iplkit.theories import (Budget, Fails, Holds, Oracle,
                              Provable, Refuted, Unknown,
@@ -102,6 +103,37 @@ class TestOracle:
         a = oracle.provable(frozenset(), Implies(p0, p0))
         b = oracle.provable(frozenset(), Implies(p0, p0))
         assert a is b
+
+
+def implication_chain(n, last):
+    phi = last
+    for _ in range(n):
+        phi = Implies(p0, phi)
+    return phi
+
+
+class TestDeepFormulas:
+    # the cache keys and variable sets hash these formulas, which must
+    # not recurse once per connective
+    def test_countermodel_search_on_deep_chains(self):
+        assert find_countermodel([], implication_chain(3000, p0), 3) is None
+        phi = implication_chain(3000, p1)
+        model, world = find_countermodel([], phi, 3)
+        assert not forces(model, world, phi)
+
+    def test_oracle_refutes_deep_chain(self):
+        phi = implication_chain(3000, p1)
+        v = Oracle().provable([], phi)
+        assert isinstance(v, Refuted)
+        assert not forces(v.model, v.world, phi)
+
+    def test_oracle_proves_deep_identity(self):
+        d = p0
+        for _ in range(600):
+            d = neg(d)
+        v = Oracle().provable([], Implies(d, d))
+        assert isinstance(v, Provable)
+        assert check([], v.witness) == Implies(d, d)
 
 
 def classical(phi, env):

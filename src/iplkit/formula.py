@@ -49,12 +49,35 @@ def _binary_hash(node) -> int:
     return node._hash
 
 
+def _binary_eq(node, other):
+    """Structural equality, as the dataclass rule, without recursion:
+    identical nodes are equal, nodes whose cached hashes differ are not,
+    and the rest are compared pair by pair with an explicit stack."""
+    if other.__class__ is not node.__class__:
+        return NotImplemented
+    stack = [(node, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__:
+            return False
+        if a.__class__ in _BINARY:
+            if hash(a) != hash(b):
+                return False
+            stack += ((a.rhs, b.rhs), (a.lhs, b.lhs))
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class And:
     lhs: "Formula"
     rhs: "Formula"
     _hash = None
     __hash__ = _binary_hash
+    __eq__ = _binary_eq
 
 
 @dataclass(frozen=True)
@@ -63,6 +86,7 @@ class Or:
     rhs: "Formula"
     _hash = None
     __hash__ = _binary_hash
+    __eq__ = _binary_eq
 
 
 @dataclass(frozen=True)
@@ -71,6 +95,10 @@ class Implies:
     rhs: "Formula"
     _hash = None
     __hash__ = _binary_hash
+    __eq__ = _binary_eq
+
+
+_BINARY = (And, Or, Implies)
 
 
 Formula = Union[Variable, Bottom, And, Or, Implies]

@@ -173,18 +173,15 @@ def _path(link) -> tuple:
     return tuple(reversed(out))
 
 
-def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset],
-                    table: Optional[dict] = None) -> dict:
-    """Post-order fold filling id(node) -> (node, conclusion, free premises).
+def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
+    """Post-order fold giving id(node) -> (node, conclusion, free premises).
 
-    Shared subterms are checked once, so DAG-shaped proofs stay linear,
-    and the fold stops at nodes already in the given table, so a table
-    kept across calls is only extended by the nodes built since.  Each
-    entry holds its node, so no id is reused while the table lives.
+    Shared subterms are checked once, so DAG-shaped proofs stay linear.
+    Each entry holds its node, so no id is reused while the table lives.
     With gamma=None, premise membership is not enforced (pure shape
     inference).
     """
-    out: dict = {} if table is None else table
+    out: dict = {}
     stack = [(proof, None, None)]
     while stack:
         node, link, kids = stack.pop()
@@ -261,23 +258,14 @@ def weaken(gamma, gamma_prime, proof: ProofTerm) -> ProofTerm:
     return proof
 
 
-def subst_premise(proof: ProofTerm, target: Formula, replacement: ProofTerm,
-                  table: Optional[dict] = None) -> ProofTerm:
-    """Replace every Premise(target) node by the given replacement proof.
-
-    Given a table of _conclusion_map, which is extended to cover proof,
-    subtrees whose free premises lack target are kept without a walk.
-    """
-    if table is not None:
-        _conclusion_map(proof, None, table)
+def subst_premise(proof: ProofTerm, target: Formula,
+                  replacement: ProofTerm) -> ProofTerm:
+    """Replace every Premise(target) node by the given replacement proof."""
     memo: dict = {}
     stack = [(proof, False)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in memo:
-            continue
-        if table is not None and target not in table[id(node)][2]:
-            memo[id(node)] = node
             continue
         kids = _children(node)
         if not expanded:
@@ -464,9 +452,8 @@ def _conj_monotone_left(chi, a, b, p) -> ProofTerm:
 
 def _and_compose(x, b, c, p, q) -> ProofTerm:
     # p: x -> b, q: x -> c   yields   x -> b & c
-    return Syllogism(ContractionConj(x),
-                     Syllogism(_conj_monotone_left(x, x, b, p),
-                               _conj_monotone(b, x, c, q)))
+    return _s_rule(x, c, And(b, c), q,
+                   Syllogism(p, Exportation(identity(And(b, c)))))
 
 
 def _and_intro(a, b, p, q) -> ProofTerm:
@@ -482,10 +469,10 @@ def _or_elim(a, b, c, p, q) -> ProofTerm:
 
 
 def _s_rule(chi, a, b, p, q) -> ProofTerm:
-    # p: chi -> a, q: chi -> (a -> b)   yields   chi -> b
-    imp = Importation(q)
-    mono = _conj_monotone(chi, chi, a, p)
-    return Syllogism(ContractionConj(chi), Syllogism(mono, imp))
+    # p: chi -> a, q: chi -> (a -> b)   yields   chi -> b, through
+    # chi -> (chi -> b) and contraction
+    t = Syllogism(p, _imp_swap(chi, a, b, q))
+    return Syllogism(ContractionConj(chi), Importation(t))
 
 
 def and_assoc_left(a: Formula, b: Formula, c: Formula) -> ProofTerm:
@@ -686,14 +673,13 @@ def deduction_theorem(gamma, phi: Formula, proof: ProofTerm) -> ProofTerm:
 
 
 def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
-    """Core of the deduction theorem; table is a table of _conclusion_map,
-    extended here to cover proof, whose shapes are taken as good.
+    """Core of the deduction theorem; table is the _conclusion_map of
+    proof, whose shapes are taken as good.
 
     Subtrees that never mention the discharged premise are kept intact
     and prefixed with a K-style wrapper, so only the spine touching
     Premise(phi) is rebuilt, and only that spine is walked.
     """
-    _conclusion_map(proof, None, table)
     memo: dict = {}
     stack = [(proof, False)]
     while stack:

@@ -1,25 +1,37 @@
-"""Backward proof search with witness extraction.
+"""Backward proof search with witness extraction, in two phases.
 
-Decides sequents premises |- goal by a contraction-free backward search
-(invertible rules first, then backtracking over disjunction introduction
-and nested-implication premises) and rebuilds every success into an
-explicit kernel proof term.  The search terminates on its own; the depth
-budget only guards against defects and is surfaced as
-SearchBudgetExceeded so callers can report an inconclusive verdict
-instead of a wrong one.
+Phase 1 decides premises |- goal by Dyckhoff's contraction-free G4ip
+search (invertible rules first, then backtracking over disjunction
+introduction and nested-implication premises), memoizing per sequent the
+winning rule, its sub-sequents and the premises it used.  Phase 2 replays
+the winning derivation once per query into a closed proof of C -> goal,
+where the context C conjoins the hypotheses introduced on the path; each
+premise used is a fact, a proof of C -> f built on first use, so a
+discharge costs one Exportation node.  The depth budget only guards
+against defects and is surfaced as SearchBudgetExceeded so callers can
+report an inconclusive verdict instead of a wrong one.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .formula import And, BOT, Bottom, Formula, Implies, Or, Variable, encode
-from .proof import (Exfalso, Exportation, ModusPonens, Premise, ProofTerm,
-                    Syllogism, WeakeningConj, WeakeningDisj, _and_intro,
-                    _deduce, _or_elim, and_elim_right, k_axiom,
-                    or_intro_right, subst_premise)
+from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Variable,
+                      encode)
+from .proof import (ContractionConj, Exfalso, Exportation, Importation,
+                    ModusPonens, PermutationConj, Premise, ProofTerm,
+                    Syllogism, WeakeningConj, WeakeningDisj, _and_compose,
+                    _imp_swap, _or_elim, _s_rule, and_assoc_left,
+                    and_elim_right, k_axiom, or_intro_right)
 
 DEFAULT_MAX_DEPTH = 512
+
+# Rules of a phase-1 memo entry (rule, principal premise, sub-sequents,
+# used premises).  _LEFT is an invertible left rule that adds formulas in
+# place of its premise; _SAME proves a sequent by its one sub-sequent when
+# the sub-derivation uses nothing that the rule added.
+_ID, _EXFALSO, _SAME, _IMP_R, _AND_R, _OR_R1, _OR_R2, _LEFT, _OR_L, \
+    _IMP_IMP_L = range(10)
 
 
 class SearchBudgetExceeded(Exception):
@@ -27,146 +39,279 @@ class SearchBudgetExceeded(Exception):
 
 
 class Prover:
-    """Reusable decision procedure; verdicts and witnesses are memoized
-    per (premises, goal) sequent.
-
-    Witness building shares one table of proof._conclusion_map per query
-    (conclusion and free premises of every node built so far), so each
-    deduction or premise substitution walks only the spine that uses the
-    premise.  The table keeps its nodes alive and is dropped when the
-    query ends.
-    """
+    """Reusable decision procedure; derivations are memoized per
+    (premises, goal) sequent across queries, and each proved query gets
+    one witness replayed from them."""
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
         self.max_depth = max_depth
         self._memo: dict = {}
-        self._table: dict = {}
 
     def prove(self, premises, goal: Formula) -> Optional[ProofTerm]:
         """A proof term for premises |- goal, or None if there is none."""
-        try:
-            return self._prove(frozenset(premises), goal, self.max_depth)
-        finally:
-            self._table.clear()
+        key = (frozenset(premises), goal)
+        if self._prove(key, self.max_depth) is None:
+            return None
+        if goal in key[0]:
+            return Premise(goal)
+        root = _Context(TOP, None, dict.fromkeys(key[0], _PREMISE))
+        return ModusPonens(Exfalso(BOT), self._replay(root, key))
 
-    def _prove(self, prem: frozenset, goal: Formula,
-               depth: int) -> Optional[ProofTerm]:
-        key = (prem, goal)
+    def _prove(self, key: tuple, depth: int) -> Optional[tuple]:
         if key in self._memo:
             return self._memo[key]
         if depth <= 0:
             raise SearchBudgetExceeded(
                 f"proof search exceeded depth {self.max_depth}")
-        out = self._search(prem, goal, depth - 1)
+        out = self._search(key[0], key[1], depth - 1)
         self._memo[key] = out
         return out
 
-    def _deduction(self, phi: Formula, proof: ProofTerm) -> ProofTerm:
-        # internal fast path: shapes are known good, skip premise checks
-        return _deduce(phi, proof, self._table)
-
-    def _subst(self, proof: ProofTerm, target: Formula,
-               replacement: ProofTerm) -> ProofTerm:
-        return subst_premise(proof, target, replacement, self._table)
-
     def _search(self, prem: frozenset, goal: Formula,
-                depth: int) -> Optional[ProofTerm]:
+                depth: int) -> Optional[tuple]:
         if goal in prem:
-            return Premise(goal)
+            return (_ID, None, (), frozenset((goal,)))
         if BOT in prem:
-            return ModusPonens(Premise(BOT), Exfalso(goal))
+            return (_EXFALSO, None, (), frozenset((BOT,)))
 
         if isinstance(goal, Implies):
-            sub = self._prove(prem | {goal.lhs}, goal.rhs, depth)
+            key = (prem | {goal.lhs}, goal.rhs)
+            sub = self._prove(key, depth)
             if sub is None:
                 return None
-            return self._deduction(goal.lhs, sub)
+            return (_IMP_R, None, (key,), sub[3] - {goal.lhs})
         if isinstance(goal, And):
-            p1 = self._prove(prem, goal.lhs, depth)
-            if p1 is None:
+            k1, k2 = (prem, goal.lhs), (prem, goal.rhs)
+            s1 = self._prove(k1, depth)
+            if s1 is None:
                 return None
-            p2 = self._prove(prem, goal.rhs, depth)
-            if p2 is None:
+            s2 = self._prove(k2, depth)
+            if s2 is None:
                 return None
-            return _and_intro(goal.lhs, goal.rhs, p1, p2)
+            return (_AND_R, None, (k1, k2), s1[3] | s2[3])
 
         # invertible premise rules: commit to the first applicable one
         for delta in sorted(prem, key=encode):
-            if isinstance(delta, And):
-                a, b = delta.lhs, delta.rhs
-                q = self._prove((prem - {delta}) | {a, b}, goal, depth)
-                if q is None:
-                    return None
-                q = self._subst(
-                    q, a, ModusPonens(Premise(delta), WeakeningConj(a, b)))
-                if b != a:
-                    q = self._subst(
-                        q, b, ModusPonens(Premise(delta), and_elim_right(a, b)))
-                return q
             if isinstance(delta, Or):
                 a, b = delta.lhs, delta.rhs
-                q1 = self._prove((prem - {delta}) | {a}, goal, depth)
-                if q1 is None:
+                rest = prem - {delta}
+                k1, k2 = (rest | {a}, goal), (rest | {b}, goal)
+                s1 = self._prove(k1, depth)
+                if s1 is None:
                     return None
-                q2 = self._prove((prem - {delta}) | {b}, goal, depth)
-                if q2 is None:
+                s2 = self._prove(k2, depth)
+                if s2 is None:
                     return None
-                split = _or_elim(a, b, goal,
-                                 self._deduction(a, q1), self._deduction(b, q2))
-                return ModusPonens(Premise(delta), split)
-            if isinstance(delta, Implies):
-                ante, body = delta.lhs, delta.rhs
-                if isinstance(ante, Bottom):
-                    # bot -> body carries no information
-                    return self._prove(prem - {delta}, goal, depth)
-                if isinstance(ante, Variable) and ante in prem:
-                    q = self._prove((prem - {delta}) | {body}, goal, depth)
-                    if q is None:
-                        return None
-                    return self._subst(
-                        q, body, ModusPonens(Premise(ante), Premise(delta)))
-                if isinstance(ante, And):
-                    rep = Implies(ante.lhs, Implies(ante.rhs, body))
-                    q = self._prove((prem - {delta}) | {rep}, goal, depth)
-                    if q is None:
-                        return None
-                    return self._subst(q, rep, Exportation(Premise(delta)))
-                if isinstance(ante, Or):
-                    rep1 = Implies(ante.lhs, body)
-                    rep2 = Implies(ante.rhs, body)
-                    q = self._prove((prem - {delta}) | {rep1, rep2}, goal, depth)
-                    if q is None:
-                        return None
-                    q = self._subst(q, rep1, Syllogism(
-                        WeakeningDisj(ante.lhs, ante.rhs), Premise(delta)))
-                    if rep2 != rep1:
-                        q = self._subst(q, rep2, Syllogism(
-                            or_intro_right(ante.lhs, ante.rhs), Premise(delta)))
-                    return q
+                if a in rest or a not in s1[3]:
+                    return (_SAME, None, (k1,), s1[3])
+                if b in rest or b not in s2[3]:
+                    return (_SAME, None, (k2,), s2[3])
+                return (_OR_L, delta, (k1, k2),
+                        (s1[3] - {a}) | (s2[3] - {b}) | {delta})
+            new = _adds(delta, prem)
+            if new is None:
+                continue
+            rest = prem - {delta}
+            key = (rest.union(new), goal)
+            sub = self._prove(key, depth)
+            if sub is None:
+                return None
+            if sub[3] <= rest:
+                return (_SAME, None, (key,), sub[3])
+            # an atomic antecedent is a premise the new fact is built from
+            needs = {delta, delta.lhs} if isinstance(delta, Implies) \
+                and isinstance(delta.lhs, Variable) else {delta}
+            return (_LEFT, delta, (key,), (sub[3] & rest) | needs)
 
         # choice points: disjunctive goal, then nested-implication premises
         if isinstance(goal, Or):
-            p = self._prove(prem, goal.lhs, depth)
-            if p is not None:
-                return ModusPonens(p, WeakeningDisj(goal.lhs, goal.rhs))
-            p = self._prove(prem, goal.rhs, depth)
-            if p is not None:
-                return ModusPonens(p, or_intro_right(goal.lhs, goal.rhs))
+            for rule, side in ((_OR_R1, goal.lhs), (_OR_R2, goal.rhs)):
+                key = (prem, side)
+                sub = self._prove(key, depth)
+                if sub is not None:
+                    return (rule, None, (key,), sub[3])
 
         for delta in sorted(prem, key=encode):
             if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
                 continue
             inner, body = delta.lhs, delta.rhs
-            q1 = self._prove((prem - {delta}) | {Implies(inner.rhs, body)},
-                             inner, depth)
-            if q1 is None:
+            rest = prem - {delta}
+            rep = Implies(inner.rhs, body)
+            k1 = (rest | {rep}, inner)
+            s1 = self._prove(k1, depth)
+            if s1 is None:
                 continue
-            q2 = self._prove((prem - {delta}) | {body}, goal, depth)
-            if q2 is None:
+            k2 = (rest | {body}, goal)
+            s2 = self._prove(k2, depth)
+            if s2 is None:
                 continue
-            h = Premise(delta)
-            inner_to_body = Syllogism(k_axiom(inner.rhs, inner.lhs), h)
-            q1 = self._subst(q1, Implies(inner.rhs, body), inner_to_body)
-            body_proof = ModusPonens(q1, h)
-            return self._subst(q2, body, body_proof)
+            if body in rest or body not in s2[3]:
+                return (_SAME, None, (k2,), s2[3])
+            return (_IMP_IMP_L, delta, (k1, k2),
+                    (s1[3] & rest) | (s2[3] - {body}) | {delta})
         return None
+
+    def _replay(self, root: "_Context", key: tuple) -> ProofTerm:
+        """A proof of root.formula -> goal of a proved sequent: the _steps
+        of each (context, sequent) run on an explicit stack, and each
+        result is memoized on its context."""
+        stack = [(self._steps(root, key), root, key)]
+        value = None
+        while stack:
+            steps, ctx, key = stack[-1]
+            try:
+                sub_ctx, sub_key = steps.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = ctx.built[key] = done.value
+                continue
+            value = sub_ctx.built.get(sub_key)
+            if value is None:
+                stack.append((self._steps(sub_ctx, sub_key), sub_ctx, sub_key))
+        return value
+
+    def _steps(self, ctx: "_Context", key: tuple):
+        """The last rule of key's derivation in ctx, as a generator that
+        yields (context, sub-sequent) for each sub-proof it needs, is sent
+        that proof, and returns a proof of ctx.formula -> goal."""
+        rule, delta, subs, _ = self._memo[key]
+        goal, c = key[1], ctx.formula
+        if rule == _ID:
+            return ctx.fact(goal)
+        if rule == _EXFALSO:
+            return Syllogism(ctx.fact(BOT), Exfalso(goal))
+        if rule == _IMP_R:
+            return Exportation((yield ctx.child(goal.lhs), subs[0]))
+        if rule == _AND_R:
+            p = yield ctx, subs[0]
+            return _and_compose(c, goal.lhs, goal.rhs, p, (yield ctx, subs[1]))
+        if rule in (_OR_R1, _OR_R2):
+            inject = WeakeningDisj if rule == _OR_R1 else or_intro_right
+            return Syllogism((yield ctx, subs[0]), inject(goal.lhs, goal.rhs))
+        if rule == _OR_L:
+            a, b = delta.lhs, delta.rhs
+            p = yield ctx.child(a), subs[0]
+            q = yield ctx.child(b), subs[1]
+            split = _or_elim(a, b, Implies(c, goal),
+                             _swap_out(c, a, p), _swap_out(c, b, q))
+            return Syllogism(ContractionConj(c), Importation(
+                Syllogism(ctx.fact(delta), split)))
+        if rule == _IMP_IMP_L and not ctx.provides(delta.rhs):
+            # prove inner from inner.rhs -> body, then body from delta
+            self._add_facts(ctx, delta, subs[0], key)
+            p = yield ctx, subs[0]
+            ctx.facts[delta.rhs] = _s_rule(c, delta.lhs, delta.rhs, p,
+                                           ctx.fact(delta))
+        if rule == _LEFT:
+            self._add_facts(ctx, delta, subs[0], key)
+        return (yield ctx, subs[-1])
+
+    def _add_facts(self, ctx: "_Context", delta: Formula, sub: tuple,
+                   key: tuple) -> None:
+        """Facts for the formulas that the left rule on delta adds and the
+        sub-derivation uses, where the chain has none yet."""
+        for f in self._memo[sub][3] - key[0]:
+            if not ctx.provides(f):
+                ctx.facts[f] = _left_fact(ctx, delta, f)
+
+
+def _adds(delta: Formula, prem: frozenset) -> Optional[tuple]:
+    """The formulas that the invertible left rule on delta puts in its
+    place, or None if no invertible rule applies to it."""
+    if isinstance(delta, And):
+        return (delta.lhs, delta.rhs)
+    if not isinstance(delta, Implies):
+        return None
+    ante, body = delta.lhs, delta.rhs
+    if isinstance(ante, Bottom):
+        return ()   # bot -> body carries no information
+    if isinstance(ante, Variable):
+        return (body,) if ante in prem else None
+    if isinstance(ante, And):
+        return (Implies(ante.lhs, Implies(ante.rhs, body)),)
+    if isinstance(ante, Or):
+        return (Implies(ante.lhs, body), Implies(ante.rhs, body))
+    return None
+
+
+def _left_fact(ctx: "_Context", delta: Formula, f: Formula) -> ProofTerm:
+    """A proof of ctx.formula -> f for a formula f that a left rule on
+    delta adds: a conjunct, the body of an implication with an atomic
+    antecedent, or the implication that replaces delta's antecedent."""
+    if isinstance(delta, And):
+        a, b = delta.lhs, delta.rhs
+        part = WeakeningConj(a, b) if f == a else and_elim_right(a, b)
+        return Syllogism(ctx.fact(delta), part)
+    c, ante, body = ctx.formula, delta.lhs, delta.rhs
+    if isinstance(ante, Variable):
+        return _s_rule(c, ante, body, ctx.fact(ante), ctx.fact(delta))
+    if isinstance(ante, And):
+        return Exportation(Exportation(Syllogism(
+            and_assoc_left(c, ante.lhs, ante.rhs),
+            Importation(ctx.fact(delta)))))
+    # f is z -> body for a closed proof of z -> ante
+    if isinstance(ante, Or):
+        inject = WeakeningDisj if f.lhs == ante.lhs else or_intro_right
+        closed = inject(ante.lhs, ante.rhs)
+    else:
+        closed = k_axiom(ante.rhs, ante.lhs)
+    return _imp_swap(f.lhs, c, body, Syllogism(
+        closed, _imp_swap(c, ante, body, ctx.fact(delta))))
+
+
+# Facts built on first use: a context's own hypothesis, and a premise of
+# the query at the root.
+_HYP, _PREMISE = object(), object()
+
+
+class _Context:
+    """One hypothesis chain: formula is TOP at the root and
+    And(parent.formula, hypothesis) below it.  facts maps a formula f to
+    a proof of formula -> f; built memoizes the replay per sequent."""
+
+    __slots__ = ("formula", "parent", "facts", "built", "_children", "_proj")
+
+    def __init__(self, formula: Formula, parent, facts: dict):
+        self.formula = formula
+        self.parent = parent
+        self.facts = facts
+        self.built: dict = {}
+        self._children: dict = {}
+        self._proj = None
+
+    def child(self, hyp: Formula) -> "_Context":
+        out = self._children.get(hyp)
+        if out is None:
+            out = self._children[hyp] = _Context(And(self.formula, hyp), self,
+                                                 {hyp: _HYP})
+        return out
+
+    def provides(self, f: Formula) -> bool:
+        ctx = self
+        while ctx is not None and f not in ctx.facts:
+            ctx = ctx.parent
+        return ctx is not None
+
+    def fact(self, f: Formula) -> ProofTerm:
+        """A proof of formula -> f from the nearest context on the chain
+        that has one, weakened down to this one and cached on the way."""
+        path = []
+        ctx = self
+        while f not in ctx.facts:
+            path.append(ctx)
+            ctx = ctx.parent
+        out = ctx.facts[f]
+        if out is _HYP:
+            out = ctx.facts[f] = and_elim_right(ctx.formula.lhs, f)
+        elif out is _PREMISE:
+            out = ctx.facts[f] = ModusPonens(Premise(f), k_axiom(f, TOP))
+        for ctx in reversed(path):
+            if ctx._proj is None:
+                ctx._proj = WeakeningConj(ctx.formula.lhs, ctx.formula.rhs)
+            out = ctx.facts[f] = Syllogism(ctx._proj, out)
+        return out
+
+
+def _swap_out(c, a, p) -> ProofTerm:
+    """From p: c & a -> x, a proof of a -> (c -> x)."""
+    return Exportation(Syllogism(PermutationConj(a, c), p))

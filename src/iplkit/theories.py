@@ -80,9 +80,11 @@ class Oracle:
     """Three-valued provability oracle with certificates.
 
     Strategy: a classical truth-table scan first (a refuting assignment
-    is a one-world countermodel), then backward proof search for a
-    witness, then bounded countermodel search.  Classical logic extends
-    this one, so a classical refutation is always sound here.
+    is a one-world countermodel), then backward proof search, then
+    bounded countermodel search.  Classical logic extends this one, so a
+    classical refutation is always sound here.  The prover's memo of
+    derivations lives as long as the oracle; a proved query's witness is
+    replayed from it once and checked by the kernel against gamma.
     """
 
     def __init__(self, budget: Optional[Budget] = None):

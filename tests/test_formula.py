@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from iplkit.formula import (And, BOT, Implies, Or, ParseError, TOP,
+from iplkit.formula import (And, BOT, Bottom, Implies, Or, ParseError, TOP,
+                            Variable,
                             all_formulas, decode, depth, encode, iff, neg,
                             pairing, parse, render, subformulas, unpairing,
                             var, variables)
@@ -206,3 +207,45 @@ class TestCachedHash:
         assert hash(phi) == hash(implication_chain(3000))
         assert len({phi, implication_chain(3000, p1)}) == 2
         assert len(subformulas(phi)) == 3001
+
+
+def rebuilt(phi):
+    """A copy of phi that shares no node with it."""
+    if isinstance(phi, (And, Or, Implies)):
+        return type(phi)(rebuilt(phi.lhs), rebuilt(phi.rhs))
+    if isinstance(phi, Variable):
+        return var(phi.var.index)
+    return Bottom()
+
+
+def recursive_eq(a, b):
+    """The dataclass rule: same class and equal fields, recursively."""
+    if isinstance(a, (And, Or, Implies)):
+        return type(a) is type(b) and recursive_eq(a.lhs, b.lhs) \
+            and recursive_eq(a.rhs, b.rhs)
+    return type(a) is type(b) and vars(a) == vars(b)
+
+
+class TestIterativeEquality:
+    def test_agrees_with_recursive_rule(self):
+        small = all_formulas(2, 2)
+        for a in small:
+            for b in small:
+                assert (a == b) == recursive_eq(a, b)
+                assert (a != b) == (not recursive_eq(a, b))
+        for phi in all_formulas(2, 3):
+            copy = rebuilt(phi)
+            assert copy is not phi or isinstance(phi, Bottom)
+            assert copy == phi and phi == copy and not copy != phi
+            assert recursive_eq(copy, phi)
+
+    def test_deep_chains(self):
+        def chain(n, odd=None):
+            phi = var(0)
+            for i in range(n):
+                phi = Implies(var(1 if i == odd else 0), phi)
+            return phi
+        a, b = chain(3000), chain(3000)
+        assert a is not b and a == b and not a != b
+        assert a != chain(3000, odd=1500)
+        assert a != chain(2999)

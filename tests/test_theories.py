@@ -127,6 +127,14 @@ class TestDeepFormulas:
         assert isinstance(v, Refuted)
         assert not forces(v.model, v.world, phi)
 
+    def test_oracle_proves_400_implication_chain(self):
+        # the witness's conclusion is compared with the goal without
+        # recursing once per connective
+        phi = implication_chain(400, p0)
+        v = Oracle().provable([], phi)
+        assert isinstance(v, Provable)
+        assert check([], v.witness) == phi
+
     def test_oracle_proves_deep_identity(self):
         d = p0
         for _ in range(600):

@@ -10,6 +10,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .kripke import (_models, consequence_over_models, find_countermodel,
                      forces, model_from_json, model_to_json)
 from .lindenbaum import build_quotient, provably_leq
 from .proof import ProofError, check, proof_from_json
-from .theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
+from .theories import (Fails, Holds, Oracle, OracleInconclusive,
                        budget_from_env, canonical_universe, make_pair,
                        saturation_trace)
 
@@ -95,9 +96,7 @@ def _parse_assignment(text):
 def _oracle(args) -> Oracle:
     budget = budget_from_env()
     if getattr(args, "max_worlds", None) is not None:
-        budget = Budget(max_worlds=args.max_worlds,
-                        max_depth=budget.max_depth,
-                        max_subset_pairs=budget.max_subset_pairs)
+        budget = dataclasses.replace(budget, max_worlds=args.max_worlds)
     return Oracle(budget)
 
 

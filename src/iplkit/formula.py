@@ -119,36 +119,47 @@ def iff(phi: Formula, psi: Formula) -> Formula:
     return And(Implies(phi, psi), Implies(psi, phi))
 
 
+def postorder(formulas) -> list:
+    """The distinct nodes (by identity) of the formulas, each after its
+    operands and the operands left to right, from one explicit stack."""
+    out = []
+    seen = set()
+    stack = [(f, False) for f in reversed(list(formulas))]
+    while stack:
+        f, expanded = stack.pop()
+        if expanded:
+            out.append(f)
+        elif id(f) not in seen:
+            seen.add(id(f))
+            stack.append((f, True))
+            if type(f) in _BINARY:
+                stack += ((f.rhs, False), (f.lhs, False))
+    return out
+
+
 def subformulas(phi: Formula) -> frozenset:
     """All subtrees of phi, including phi itself."""
-    out = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if isinstance(f, (And, Or, Implies)):
-            stack.append(f.lhs)
-            stack.append(f.rhs)
-    return frozenset(out)
+    return frozenset(postorder([phi]))
 
 
 def variables(phi: Formula) -> frozenset:
     """The set of Var occurring in phi."""
-    return frozenset(f.var for f in subformulas(phi) if isinstance(f, Variable))
+    return frozenset(f.var for f in postorder([phi]) if type(f) is Variable)
 
 
 def variable_indices(formulas) -> list:
     """Sorted indices of the variables occurring in any of the formulas."""
-    return sorted({v.index for f in formulas for v in variables(f)})
+    return sorted({f.var.index for f in postorder(formulas)
+                   if type(f) is Variable})
 
 
 def depth(phi: Formula) -> int:
     """Tree depth; leaves (variables and bot) have depth 1."""
-    if isinstance(phi, (Variable, Bottom)):
-        return 1
-    return 1 + max(depth(phi.lhs), depth(phi.rhs))
+    below: dict = {}
+    for f in postorder([phi]):
+        below[id(f)] = 1 + max(below[id(f.lhs)], below[id(f.rhs)]) \
+            if type(f) in _BINARY else 1
+    return below[id(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,110 +224,99 @@ def _ident_continues(text: str, pos: int) -> bool:
     return pos < len(text) and (text[pos].isalnum() or text[pos] == "_")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def formula(self) -> Formula:
-        parts = [self.imp()]
-        while self.peek()[0] == "<->":
-            self.next()
-            parts.append(self.imp())
-        out = parts[-1]
-        for lhs in reversed(parts[:-1]):
-            out = iff(lhs, out)
-        return out
-
-    def imp(self) -> Formula:
-        lhs = self.disj()
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(lhs, self.imp())
-        return lhs
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek()[0] == "|":
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.neg()
-        while self.peek()[0] == "&":
-            self.next()
-            out = And(out, self.neg())
-        return out
-
-    def neg(self) -> Formula:
-        if self.peek()[0] == "~":
-            self.next()
-            return neg(self.neg())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, offset = self.next()
-        if kind == "bot":
-            return BOT
-        if kind == "top":
-            return TOP
-        if kind == "var":
-            return var(value)
-        if kind == "(":
-            out = self.formula()
-            self.expect(")")
-            return out
-        raise ParseError(f"expected a formula, found {kind!r}", offset)
+# Binary operator tokens: precedence, whether they group to the right,
+# and the constructor.  "<->" binds loosest.
+_INFIX = {"<->": (0, True, iff), "->": (_PREC_IMP, True, Implies),
+          "|": (_PREC_OR, False, Or), "&": (_PREC_AND, False, And)}
+_ATOMS = {"bot": lambda _: BOT, "top": lambda _: TOP, "var": var}
 
 
 def parse(text: str) -> Formula:
-    """Parse the ASCII syntax into a Formula."""
-    p = _Parser(text)
-    out = p.formula()
-    kind, _, offset = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {kind!r}", offset)
-    return out
+    """Parse the ASCII syntax into a Formula.
+
+    One operator-precedence loop over the tokens, with an operand stack,
+    an operator stack (binary operators, "~" and "(") and a count of open
+    parentheses, so nesting depth is not bounded by the Python stack.
+    """
+    operands: list = []
+    ops: list = []
+    open_parens = 0
+    want_operand = True
+    for kind, value, offset in _tokenize(text):
+        if want_operand:
+            if kind in ("~", "("):
+                ops.append(kind)
+                open_parens += kind == "("
+                continue
+            if kind not in _ATOMS:
+                raise ParseError(f"expected a formula, found {kind!r}", offset)
+            operands.append(_ATOMS[kind](value))
+            want_operand = False
+        elif kind in _INFIX:
+            prec, right, _ = _INFIX[kind]
+            _reduce(operands, ops, prec + 1 if right else prec)
+            ops.append(kind)
+            want_operand = True
+            continue
+        elif kind == ")" and open_parens:
+            _reduce(operands, ops, 0)
+            ops.pop()
+            open_parens -= 1
+        elif kind == "end" and not open_parens:
+            _reduce(operands, ops, 0)
+            return operands[0]
+        elif open_parens:
+            raise ParseError(f"expected ')', found {kind!r}", offset)
+        else:
+            raise ParseError(f"trailing input {kind!r}", offset)
+        # an operand is complete: apply the negations in front of it
+        while ops and ops[-1] == "~":
+            ops.pop()
+            operands.append(neg(operands.pop()))
 
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
+def _reduce(operands: list, ops: list, min_prec: int) -> None:
+    """Apply the binary operators on top of ops that bind at least as
+    tightly as min_prec, down to the nearest "("."""
+    while ops and ops[-1] in _INFIX and _INFIX[ops[-1]][0] >= min_prec:
+        build = _INFIX[ops.pop()][2]
+        rhs = operands.pop()
+        operands.append(build(operands.pop(), rhs))
+
+
+# Connective: text between the operands, its precedence, and the least
+# precedence that the left and the right operand may have unparenthesized.
+_RENDER = {Implies: (" -> ", _PREC_IMP, _PREC_OR, _PREC_IMP),
+           Or: (" | ", _PREC_OR, _PREC_OR, _PREC_AND),
+           And: (" & ", _PREC_AND, _PREC_AND, _PREC_ATOM)}
 
 
 def render(phi: Formula) -> str:
-    """Minimal-parenthesization text; parse(render(phi)) == phi."""
-    return _render(phi, 0)
+    """Minimal-parenthesization text; parse(render(phi)) == phi.
 
-
-def _render(phi: Formula, min_prec: int) -> str:
-    if isinstance(phi, Variable):
-        return f"p{phi.var.index}"
-    if isinstance(phi, Bottom):
-        return "bot"
-    if isinstance(phi, Implies):
-        text = f"{_render(phi.lhs, _PREC_OR)} -> {_render(phi.rhs, _PREC_IMP)}"
-        prec = _PREC_IMP
-    elif isinstance(phi, Or):
-        text = f"{_render(phi.lhs, _PREC_OR)} | {_render(phi.rhs, _PREC_AND)}"
-        prec = _PREC_OR
-    else:
-        text = f"{_render(phi.lhs, _PREC_AND)} & {_render(phi.rhs, _PREC_ATOM)}"
-        prec = _PREC_AND
-    return f"({text})" if prec < min_prec else text
+    Emitted from an explicit stack of (node, minimum precedence) entries,
+    where a string in place of a node is text between operands.
+    """
+    out = []
+    stack = [(phi, 0)]
+    while stack:
+        f, min_prec = stack.pop()
+        kind = type(f)
+        if kind is str:
+            out.append(f)
+        elif kind is Variable:
+            out.append(f"p{f.var.index}")
+        elif kind is Bottom:
+            out.append("bot")
+        else:
+            text, prec, left, right = _RENDER[kind]
+            if prec < min_prec:
+                out.append("(")
+                stack.append((")", 0))
+            stack += ((f.rhs, right), (text, 0), (f.lhs, left))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

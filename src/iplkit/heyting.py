@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
-from .formula import And, Bottom, Formula, Or, Variable, variable_indices
+from .formula import (And, Bottom, Formula, Implies, Or, Variable, postorder,
+                      variable_indices)
 
 
 class MalformedAlgebra(ValueError):
@@ -50,14 +51,12 @@ class FiniteHeytingAlgebra:
 
     @cached_property
     def filters(self) -> tuple:
-        """Every filter, sorted by (size, elements): the one scan of all
-        2^size subsets, made on first use and kept with the algebra."""
+        """Every filter, sorted by (size, elements).  In a finite lattice
+        a filter holds the meet of its members, so it is the principal
+        filter of that meet: the filters are the sets of elements above
+        a, one for each element a."""
         rng = range(self.size)
-        out = []
-        for mask in range(1 << self.size):
-            members = [a for a in rng if mask >> a & 1]
-            if is_filter(self, members):
-                out.append(frozenset(members))
+        out = (frozenset(b for b in rng if self.le[a][b]) for a in rng)
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
@@ -389,28 +388,28 @@ def make_interpretation(alg: FiniteHeytingAlgebra,
 
 def interpret(interp: Interpretation, phi: Formula) -> int:
     """Homomorphic extension of the variable assignment."""
-    alg = interp.algebra
-    if isinstance(phi, Variable):
-        return interp.element(phi.var.index)
-    if isinstance(phi, Bottom):
-        return alg.bot
-    a = interpret(interp, phi.lhs)
-    b = interpret(interp, phi.rhs)
-    if isinstance(phi, And):
-        return alg.meet[a][b]
-    if isinstance(phi, Or):
-        return alg.join[a][b]
-    return alg.himp[a][b]
+    return _evaluate(interp.algebra, postorder([phi]), interp.element)[id(phi)]
+
+
+def _evaluate(alg: FiniteHeytingAlgebra, nodes: list, element) -> dict:
+    """id(node) -> value for each node of a postorder list, where
+    element(i) is the value of variable p<i>; variables are looked up
+    in list order, so the leftmost unassigned one is reported."""
+    ops = {And: alg.meet, Or: alg.join, Implies: alg.himp}
+    value: dict = {}
+    for f in nodes:
+        kind = type(f)
+        if kind is Variable:
+            value[id(f)] = element(f.var.index)
+        elif kind is Bottom:
+            value[id(f)] = alg.bot
+        else:
+            value[id(f)] = ops[kind][value[id(f.lhs)]][value[id(f.rhs)]]
+    return value
 
 
 def true_in_algebra(interp: Interpretation, phi: Formula) -> bool:
     return interpret(interp, phi) == interp.algebra.top
-
-
-def _assignments(alg: FiniteHeytingAlgebra, var_indices) -> Iterable:
-    indices = tuple(sorted(var_indices))
-    for choice in product(range(alg.size), repeat=len(indices)):
-        yield Interpretation(alg, tuple(zip(indices, choice)))
 
 
 def valid_in_algebra(alg: FiniteHeytingAlgebra, phi: Formula) -> bool:
@@ -428,12 +427,14 @@ class AlgConsequenceVerdict:
 def consequence_over_algebras(algebras, gamma, phi) -> AlgConsequenceVerdict:
     """Algebraic semantic consequence restricted to the supplied catalog."""
     gamma = list(gamma)
+    nodes = postorder(gamma + [phi])
     idx = variable_indices(gamma + [phi])
     for i, alg in enumerate(algebras):
-        for interp in _assignments(alg, idx):
-            if all(true_in_algebra(interp, g) for g in gamma):
-                if not true_in_algebra(interp, phi):
-                    return AlgConsequenceVerdict(False, i, interp.assignment)
+        for choice in product(range(alg.size), repeat=len(idx)):
+            value = _evaluate(alg, nodes, dict(zip(idx, choice)).__getitem__)
+            if all(value[id(g)] == alg.top for g in gamma) \
+                    and value[id(phi)] != alg.top:
+                return AlgConsequenceVerdict(False, i, tuple(zip(idx, choice)))
     return AlgConsequenceVerdict(True)
 
 

@@ -220,32 +220,29 @@ def forcing_is_monotone(model: KripkeModel, formulas) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _preorders(n: int) -> tuple:
     """All reflexive transitive relations on range(n), labeled.
 
-    Built by extending every preorder on n-1 points with a new point x:
-    pick a down-closed predecessor set P and an up-closed successor set S
-    with P x S inside the old relation.
+    Built point by point: every preorder on the points below x is
+    extended with x by picking a down-closed predecessor set P and an
+    up-closed successor set S with P x S inside the old relation.
     """
-    if n <= 0:
-        return (frozenset(),)
-    if n == 1:
-        return (frozenset({(0, 0)}),)
-    x = n - 1
-    out = []
-    for rel in _preorders(n - 1):
-        downsets = _closed_subsets(rel, n - 1, up=False)
-        upsets = _closed_subsets(rel, n - 1, up=True)
-        for pred in downsets:
-            for succ in upsets:
-                if all((a, b) in rel for a in pred for b in succ):
-                    new = set(rel)
-                    new.add((x, x))
-                    new.update((a, x) for a in pred)
-                    new.update((x, b) for b in succ)
-                    out.append(frozenset(new))
-    return tuple(out)
+    rels = [frozenset()]
+    for x in range(n):
+        out = []
+        for rel in rels:
+            downsets = _closed_subsets(rel, x, up=False)
+            upsets = _closed_subsets(rel, x, up=True)
+            for pred in downsets:
+                for succ in upsets:
+                    if all((a, b) in rel for a in pred for b in succ):
+                        new = set(rel)
+                        new.add((x, x))
+                        new.update((a, x) for a in pred)
+                        new.update((x, b) for b in succ)
+                        out.append(frozenset(new))
+        rels = out
+    return tuple(rels)
 
 
 def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:

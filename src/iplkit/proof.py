@@ -148,15 +148,30 @@ def _axiom_conclusion(node) -> Formula:
 
 
 def _children(node) -> tuple:
-    if isinstance(node, (ModusPonens,)):
+    if isinstance(node, ModusPonens):
         return (node.minor, node.major)
     if isinstance(node, Syllogism):
         return (node.first, node.second)
-    if isinstance(node, (Exportation, Importation)):
-        return (node.sub,)
-    if isinstance(node, Expansion):
+    if isinstance(node, (Exportation, Importation, Expansion)):
         return (node.sub,)
     return ()
+
+
+def _postorder(proof: ProofTerm, children=_children) -> list:
+    """The distinct nodes (by identity) of proof, each after the nodes
+    that children(node) lists, from one explicit stack."""
+    out = []
+    seen = set()
+    stack = [(proof, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((k, False) for k in children(node))
+    return out
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -262,19 +277,11 @@ def subst_premise(proof: ProofTerm, target: Formula,
                   replacement: ProofTerm) -> ProofTerm:
     """Replace every Premise(target) node by the given replacement proof."""
     memo: dict = {}
-    stack = [(proof, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in memo:
-            continue
-        kids = _children(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-            continue
+    for node in _postorder(proof):
         if isinstance(node, Premise) and node.formula == target:
             memo[id(node)] = replacement
             continue
+        kids = _children(node)
         new_kids = tuple(memo[id(k)] for k in kids)
         if all(nk is ok for nk, ok in zip(new_kids, kids)):
             memo[id(node)] = node
@@ -333,20 +340,11 @@ def _node_formulas(node) -> tuple:
 
 def proof_to_json(proof: ProofTerm) -> dict:
     memo: dict = {}
-    stack = [(proof, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in memo:
-            continue
-        kids = _children(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-            continue
+    for node in _postorder(proof):
         memo[id(node)] = {
             "rule": _NODE_RULE[type(node)],
             "formulas": [render(f) for f in _node_formulas(node)],
-            "subproofs": [memo[id(k)] for k in kids],
+            "subproofs": [memo[id(k)] for k in _children(node)],
         }
     return memo[id(proof)]
 
@@ -680,20 +678,14 @@ def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
     and prefixed with a K-style wrapper, so only the spine touching
     Premise(phi) is rebuilt, and only that spine is walked.
     """
+    def spine(node) -> tuple:
+        return _children(node) if phi in table[id(node)][2] else ()
+
     memo: dict = {}
-    stack = [(proof, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in memo:
-            continue
+    for node in _postorder(proof, spine):
         _, concl, free = table[id(node)]
         if phi not in free:
             memo[id(node)] = ModusPonens(node, k_axiom(concl, phi))
-            continue
-        kids = _children(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
             continue
         if isinstance(node, Premise):
             # phi is free here, so this is the discharged premise itself

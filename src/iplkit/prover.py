@@ -7,9 +7,11 @@ winning rule, its sub-sequents and the premises it used.  Phase 2 replays
 the winning derivation once per query into a closed proof of C -> goal,
 where the context C conjoins the hypotheses introduced on the path; each
 premise used is a fact, a proof of C -> f built on first use, so a
-discharge costs one Exportation node.  The depth budget only guards
-against defects and is surfaced as SearchBudgetExceeded so callers can
-report an inconclusive verdict instead of a wrong one.
+discharge costs one Exportation node.  Both phases are generators that
+one loop runs on an explicit stack, so the depth budget, not the
+interpreter's recursion limit, bounds the search; it is surfaced as
+SearchBudgetExceeded so callers can report an inconclusive verdict
+instead of a wrong one.
 """
 
 from __future__ import annotations
@@ -50,125 +52,41 @@ class Prover:
     def prove(self, premises, goal: Formula) -> Optional[ProofTerm]:
         """A proof term for premises |- goal, or None if there is none."""
         key = (frozenset(premises), goal)
-        if self._prove(key, self.max_depth) is None:
+        if self._drive(None, key) is None:
             return None
         if goal in key[0]:
             return Premise(goal)
         root = _Context(TOP, None, dict.fromkeys(key[0], _PREMISE))
-        return ModusPonens(Exfalso(BOT), self._replay(root, key))
+        return ModusPonens(Exfalso(BOT), self._drive(root, key))
 
-    def _prove(self, key: tuple, depth: int) -> Optional[tuple]:
-        if key in self._memo:
-            return self._memo[key]
-        if depth <= 0:
-            raise SearchBudgetExceeded(
-                f"proof search exceeded depth {self.max_depth}")
-        out = self._search(key[0], key[1], depth - 1)
-        self._memo[key] = out
-        return out
-
-    def _search(self, prem: frozenset, goal: Formula,
-                depth: int) -> Optional[tuple]:
-        if goal in prem:
-            return (_ID, None, (), frozenset((goal,)))
-        if BOT in prem:
-            return (_EXFALSO, None, (), frozenset((BOT,)))
-
-        if isinstance(goal, Implies):
-            key = (prem | {goal.lhs}, goal.rhs)
-            sub = self._prove(key, depth)
-            if sub is None:
-                return None
-            return (_IMP_R, None, (key,), sub[3] - {goal.lhs})
-        if isinstance(goal, And):
-            k1, k2 = (prem, goal.lhs), (prem, goal.rhs)
-            s1 = self._prove(k1, depth)
-            if s1 is None:
-                return None
-            s2 = self._prove(k2, depth)
-            if s2 is None:
-                return None
-            return (_AND_R, None, (k1, k2), s1[3] | s2[3])
-
-        # invertible premise rules: commit to the first applicable one
-        for delta in sorted(prem, key=encode):
-            if isinstance(delta, Or):
-                a, b = delta.lhs, delta.rhs
-                rest = prem - {delta}
-                k1, k2 = (rest | {a}, goal), (rest | {b}, goal)
-                s1 = self._prove(k1, depth)
-                if s1 is None:
-                    return None
-                s2 = self._prove(k2, depth)
-                if s2 is None:
-                    return None
-                if a in rest or a not in s1[3]:
-                    return (_SAME, None, (k1,), s1[3])
-                if b in rest or b not in s2[3]:
-                    return (_SAME, None, (k2,), s2[3])
-                return (_OR_L, delta, (k1, k2),
-                        (s1[3] - {a}) | (s2[3] - {b}) | {delta})
-            new = _adds(delta, prem)
-            if new is None:
-                continue
-            rest = prem - {delta}
-            key = (rest.union(new), goal)
-            sub = self._prove(key, depth)
-            if sub is None:
-                return None
-            if sub[3] <= rest:
-                return (_SAME, None, (key,), sub[3])
-            # an atomic antecedent is a premise the new fact is built from
-            needs = {delta, delta.lhs} if isinstance(delta, Implies) \
-                and isinstance(delta.lhs, Variable) else {delta}
-            return (_LEFT, delta, (key,), (sub[3] & rest) | needs)
-
-        # choice points: disjunctive goal, then nested-implication premises
-        if isinstance(goal, Or):
-            for rule, side in ((_OR_R1, goal.lhs), (_OR_R2, goal.rhs)):
-                key = (prem, side)
-                sub = self._prove(key, depth)
-                if sub is not None:
-                    return (rule, None, (key,), sub[3])
-
-        for delta in sorted(prem, key=encode):
-            if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
-                continue
-            inner, body = delta.lhs, delta.rhs
-            rest = prem - {delta}
-            rep = Implies(inner.rhs, body)
-            k1 = (rest | {rep}, inner)
-            s1 = self._prove(k1, depth)
-            if s1 is None:
-                continue
-            k2 = (rest | {body}, goal)
-            s2 = self._prove(k2, depth)
-            if s2 is None:
-                continue
-            if body in rest or body not in s2[3]:
-                return (_SAME, None, (k2,), s2[3])
-            return (_IMP_IMP_L, delta, (k1, k2),
-                    (s1[3] & rest) | (s2[3] - {body}) | {delta})
-        return None
-
-    def _replay(self, root: "_Context", key: tuple) -> ProofTerm:
-        """A proof of root.formula -> goal of a proved sequent: the _steps
-        of each (context, sequent) run on an explicit stack, and each
-        result is memoized on its context."""
-        stack = [(self._steps(root, key), root, key)]
-        value = None
-        while stack:
-            steps, ctx, key = stack[-1]
-            try:
-                sub_ctx, sub_key = steps.send(value)
-            except StopIteration as done:
-                stack.pop()
-                value = ctx.built[key] = done.value
-                continue
-            value = sub_ctx.built.get(sub_key)
-            if value is None:
-                stack.append((self._steps(sub_ctx, sub_key), sub_ctx, sub_key))
-        return value
+    def _drive(self, ctx: Optional["_Context"], key: tuple):
+        """The memo entry of one job, run with every job it yields on one
+        explicit stack: the search of key when ctx is None, memoized in
+        _memo, else the replay of key in ctx, memoized in ctx.built.  A
+        new search with max_depth searches on the stack exceeds the
+        budget; a memo hit never does."""
+        stack = []
+        while True:
+            table = self._memo if ctx is None else ctx.built
+            if key in table:
+                value = table[key]
+            elif ctx is None and len(stack) >= self.max_depth:
+                raise SearchBudgetExceeded(
+                    f"proof search exceeded depth {self.max_depth}")
+            else:
+                job = _search(*key) if ctx is None else self._steps(ctx, key)
+                stack.append((job, table, key))
+                value = None
+            while stack:
+                job, table, key = stack[-1]
+                try:
+                    ctx, key = job.send(value)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    value = table[key] = done.value
+            else:
+                return value
 
     def _steps(self, ctx: "_Context", key: tuple):
         """The last rule of key's derivation in ctx, as a generator that
@@ -213,6 +131,94 @@ class Prover:
         for f in self._memo[sub][3] - key[0]:
             if not ctx.provides(f):
                 ctx.facts[f] = _left_fact(ctx, delta, f)
+
+
+def _search(prem: frozenset, goal: Formula):
+    """The phase-1 rule for prem |- goal, as a generator that yields
+    (None, sub-sequent) for each sub-derivation it needs, is sent that
+    sequent's memo entry, and returns the memo entry of prem |- goal:
+    None when it is not provable."""
+    if goal in prem:
+        return (_ID, None, (), frozenset((goal,)))
+    if BOT in prem:
+        return (_EXFALSO, None, (), frozenset((BOT,)))
+
+    if isinstance(goal, Implies):
+        key = (prem | {goal.lhs}, goal.rhs)
+        sub = yield None, key
+        if sub is None:
+            return None
+        return (_IMP_R, None, (key,), sub[3] - {goal.lhs})
+    if isinstance(goal, And):
+        k1, k2 = (prem, goal.lhs), (prem, goal.rhs)
+        s1 = yield None, k1
+        if s1 is None:
+            return None
+        s2 = yield None, k2
+        if s2 is None:
+            return None
+        return (_AND_R, None, (k1, k2), s1[3] | s2[3])
+
+    # invertible premise rules: commit to the first applicable one
+    for delta in sorted(prem, key=encode):
+        if isinstance(delta, Or):
+            a, b = delta.lhs, delta.rhs
+            rest = prem - {delta}
+            k1, k2 = (rest | {a}, goal), (rest | {b}, goal)
+            s1 = yield None, k1
+            if s1 is None:
+                return None
+            s2 = yield None, k2
+            if s2 is None:
+                return None
+            if a in rest or a not in s1[3]:
+                return (_SAME, None, (k1,), s1[3])
+            if b in rest or b not in s2[3]:
+                return (_SAME, None, (k2,), s2[3])
+            return (_OR_L, delta, (k1, k2),
+                    (s1[3] - {a}) | (s2[3] - {b}) | {delta})
+        new = _adds(delta, prem)
+        if new is None:
+            continue
+        rest = prem - {delta}
+        key = (rest.union(new), goal)
+        sub = yield None, key
+        if sub is None:
+            return None
+        if sub[3] <= rest:
+            return (_SAME, None, (key,), sub[3])
+        # an atomic antecedent is a premise the new fact is built from
+        needs = {delta, delta.lhs} if isinstance(delta, Implies) \
+            and isinstance(delta.lhs, Variable) else {delta}
+        return (_LEFT, delta, (key,), (sub[3] & rest) | needs)
+
+    # choice points: disjunctive goal, then nested-implication premises
+    if isinstance(goal, Or):
+        for rule, side in ((_OR_R1, goal.lhs), (_OR_R2, goal.rhs)):
+            key = (prem, side)
+            sub = yield None, key
+            if sub is not None:
+                return (rule, None, (key,), sub[3])
+
+    for delta in sorted(prem, key=encode):
+        if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
+            continue
+        inner, body = delta.lhs, delta.rhs
+        rest = prem - {delta}
+        rep = Implies(inner.rhs, body)
+        k1 = (rest | {rep}, inner)
+        s1 = yield None, k1
+        if s1 is None:
+            continue
+        k2 = (rest | {body}, goal)
+        s2 = yield None, k2
+        if s2 is None:
+            continue
+        if body in rest or body not in s2[3]:
+            return (_SAME, None, (k2,), s2[3])
+        return (_IMP_IMP_L, delta, (k1, k2),
+                (s1[3] & rest) | (s2[3] - {body}) | {delta})
+    return None
 
 
 def _adds(delta: Formula, prem: frozenset) -> Optional[tuple]:

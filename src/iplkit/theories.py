@@ -21,12 +21,14 @@ from .kripke import (KripkeModel, find_countermodel, first_refutation, forces,
 from .proof import ProofTerm, check
 from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
 
+# Subset pairs that pair_consistent tries before the whole pair.
+MAX_SUBSET_PAIRS = 20000
+
 
 @dataclass(frozen=True)
 class Budget:
     max_worlds: int = 4
     max_depth: int = DEFAULT_MAX_DEPTH
-    max_subset_pairs: int = 20000
 
 
 def budget_from_env(text: Optional[str] = None) -> Budget:
@@ -329,7 +331,7 @@ def pair_consistent(pair: FormulaPair, oracle: Oracle):
         return Unknown(verdict.reason)
     left = sorted(pair.left, key=encode)
     right = sorted(pair.right, key=encode)
-    budget = oracle.budget.max_subset_pairs
+    budget = MAX_SUBSET_PAIRS
     for phi_sub, omega_sub in _subset_pairs(left, right):
         if budget <= 0:
             break

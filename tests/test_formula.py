@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from reference_syntax import reference_parse, reference_render
+
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, ParseError, TOP,
                             Variable,
                             all_formulas, decode, depth, encode, iff, neg,
@@ -75,6 +77,7 @@ class TestRender:
 
     def test_round_trip_families(self):
         for f in all_formulas(2, 3):
+            assert render(f) == reference_render(f)
             assert parse(render(f)) == f
 
     def test_round_trip_random_depth8(self):
@@ -88,6 +91,7 @@ class TestRender:
 
         for _ in range(300):
             f = build(8)
+            assert render(f) == reference_render(f)
             assert parse(render(f)) == f
 
 
@@ -249,3 +253,103 @@ class TestIterativeEquality:
         assert a is not b and a == b and not a != b
         assert a != chain(3000, odd=1500)
         assert a != chain(2999)
+
+
+# Tokens for the differential parser tests, parentheses and negation
+# weighted up.
+TOKENS = ["p0", "p1", "p12", "bot", "top", "~", "(", ")", "&", "|", "->",
+          "<->", "(", ")", "~"]
+
+
+def random_tokens(rng):
+    """Mostly malformed text; tokens joined without a space may run
+    together into an unknown token."""
+    toks = [rng.choice(TOKENS) for _ in range(rng.randrange(13))]
+    return "".join(t + rng.choice(("", " ", " ")) for t in toks)
+
+
+def grammar_string(rng, levels):
+    """A formula drawn from the grammar, fully spelled out."""
+    r = rng.random()
+    if levels <= 0 or r < 0.25:
+        return rng.choice(["p0", "p1", "p3", "bot", "top"])
+    if r < 0.35:
+        return "~" + grammar_string(rng, levels - 1)
+    if r < 0.45:
+        return "(" + grammar_string(rng, levels - 1) + ")"
+    op = rng.choice(["&", "|", "->", "<->"])
+    return (f"{grammar_string(rng, levels - 1)} {op} "
+            f"{grammar_string(rng, levels - 1)}")
+
+
+def mutated(rng, text):
+    """text with up to two tokens deleted, inserted or swapped."""
+    toks = text.replace("(", " ( ").replace(")", " ) ").replace("~", " ~ ")
+    toks = toks.split()
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(toks))
+        r = rng.random()
+        if r < 0.4 and len(toks) > 1:
+            del toks[i]
+        elif r < 0.8:
+            toks.insert(i, rng.choice(TOKENS))
+        else:
+            j = rng.randrange(len(toks))
+            toks[i], toks[j] = toks[j], toks[i]
+    return " ".join(toks)
+
+
+def outcome(parser, text):
+    try:
+        return ("formula", parser(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+class TestParserMatchesReference:
+    """The operator-precedence parser against the recursive-descent one:
+    the same tree, or the same ParseError message and offset."""
+
+    def test_renderings(self):
+        for f in all_formulas(2, 3):
+            text = reference_render(f)
+            assert outcome(parse, text) == outcome(reference_parse, text)
+
+    def test_random_token_strings(self):
+        rng = random.Random(8)
+        for _ in range(60000):
+            text = random_tokens(rng)
+            assert outcome(parse, text) == outcome(reference_parse, text), \
+                text
+
+    def test_grammar_directed_strings(self):
+        rng = random.Random(9)
+        for _ in range(40000):
+            text = grammar_string(rng, 3)
+            if rng.random() < 0.5:
+                text = mutated(rng, text)
+            got = outcome(parse, text)
+            assert got == outcome(reference_parse, text), text
+            if got[0] == "formula":
+                assert render(got[1]) == reference_render(got[1])
+
+
+class TestDeepInputs:
+    # 3000 levels is three times the default recursion limit
+    def test_parse_negations(self):
+        want = p0
+        for _ in range(3000):
+            want = neg(want)
+        assert parse("~" * 3000 + "p0") == want
+
+    def test_parse_parentheses(self):
+        assert parse("(" * 3000 + "p0" + ")" * 3000) == p0
+
+    def test_render_parse_round_trip(self):
+        phi = implication_chain(3000)
+        text = render(phi)
+        assert text == " -> ".join(["p0"] * 3001)
+        assert parse(text) == phi
+
+    def test_depth(self):
+        assert depth(implication_chain(3000)) == 3001

@@ -257,6 +257,20 @@ class TestInterpretation:
     def test_unknown_variable(self):
         with pytest.raises(InterpretationError):
             interpret(make_interpretation(C2, {}), p0)
+        # the leftmost unassigned variable is the one reported
+        with pytest.raises(InterpretationError, match="p2 "):
+            interpret(make_interpretation(C2, {0: 1}), parse("p0 & p2 | p1"))
+
+    def test_deep_chain(self):
+        # 3000 levels is three times the default recursion limit
+        valid = invalid = p0
+        for _ in range(3000):
+            valid, invalid = Implies(p0, valid), Implies(p0, invalid)
+        invalid = Implies(p0, Implies(invalid, p1))
+        assert interpret(make_interpretation(C3, {0: 1}), valid) == C3.top
+        assert interpret(make_interpretation(C3, {0: 2, 1: 0}), invalid) == 0
+        assert valid_in_algebra(C3, valid)
+        assert not valid_in_algebra(C3, invalid)
 
     def test_validity(self):
         assert valid_in_algebra(C2, parse("p0 | ~p0"))

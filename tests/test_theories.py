@@ -127,6 +127,12 @@ class TestDeepFormulas:
         assert isinstance(v, Refuted)
         assert not forces(v.model, v.world, phi)
 
+    def test_oracle_reports_depth_budget_on_deep_provable_chain(self):
+        # the search stops at the depth budget, not the recursion limit
+        v = Oracle().provable([], implication_chain(3000, p0))
+        assert isinstance(v, Unknown)
+        assert "depth budget exhausted" in v.reason
+
     def test_oracle_proves_400_implication_chain(self):
         # the witness's conclusion is compared with the goal without
         # recursing once per connective

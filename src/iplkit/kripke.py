@@ -4,7 +4,7 @@ Worlds are dense integer indices, the accessibility relation is an
 explicit pair set (reflexive and transitive), and valuations are
 monotone truth sets per variable.  The module also enumerates all valid
 models of a given size up to world relabeling and searches them for
-countermodels.
+countermodels, all models of one size at once as a disjoint union.
 """
 
 from __future__ import annotations
@@ -298,6 +298,52 @@ def _models(var_indices: tuple, n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _family(var_indices: tuple, n: int) -> tuple:
+    """(models, atoms, full, down) for the disjoint union of _models:
+    world w of the t-th model is bit t*n + w, so one truth_mask call
+    evaluates a formula in every model of n worlds at once.
+
+    Masks are filled through bytearrays, linear in their bits.  down
+    groups each non-reflexive edge (i, j) of every model into one column
+    mask, the bits t*n + j of the models holding it, and moves s & col
+    from world j to world i; reflexive edges keep s itself.
+    """
+    models = _models(var_indices, n)
+    size = (len(models) * n + 7) // 8
+    atom_bits = {v: bytearray(size) for v in var_indices}
+    col_bits: dict = {}
+    for t, model in enumerate(models):
+        base = t * n
+        for v, ws in model.valuation:
+            bits = atom_bits[v]
+            for w in ws:
+                bits[(base + w) >> 3] |= 1 << ((base + w) & 7)
+        for i, j in model.rel:
+            if i != j:
+                bits = col_bits.get((i, j))
+                if bits is None:
+                    bits = col_bits[(i, j)] = bytearray(size)
+                bits[(base + j) >> 3] |= 1 << ((base + j) & 7)
+    atoms = {v: int.from_bytes(bits, "little")
+             for v, bits in atom_bits.items()}
+    right, left = [], []
+    for (i, j), bits in sorted(col_bits.items()):
+        col = int.from_bytes(bits, "little")
+        (right if j > i else left).append((col, abs(j - i)))
+    full = (1 << len(models) * n) - 1
+    return models, atoms, full, partial(_union_down, tuple(right), tuple(left))
+
+
+def _union_down(right: tuple, left: tuple, mask: int) -> int:
+    out = mask
+    for col, k in right:
+        out |= (mask & col) >> k
+    for col, k in left:
+        out |= (mask & col) << k
+    return out
+
+
 def enumerate_models(num_vars: int, num_worlds: int) -> Iterator[KripkeModel]:
     """Every valid model on exactly num_worlds worlds over p0..p(num_vars-1),
     up to world relabeling, in deterministic order."""
@@ -309,16 +355,19 @@ def enumerate_models(num_vars: int, num_worlds: int) -> Iterator[KripkeModel]:
 def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
     """First (model, world) in enumeration order with at most max_worlds
     worlds that forces gamma but not phi; None if there is none.  Absence
-    is not a provability certificate."""
+    is not a provability certificate.  Each size is one first_refutation
+    over its _family, whose lowest refuting bit lies in the first such
+    model, at its lowest refuting world."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     gamma = list(gamma)
     var_indices = tuple(variable_indices(gamma + [phi]))
     for n in range(1, max_worlds + 1):
-        for model in _models(var_indices, n):
-            world = first_refutation(gamma, phi, *model.masks)
-            if world is not None:
-                return model, world
+        models, atoms, full, down = _family(var_indices, n)
+        bit = first_refutation(gamma, phi, atoms, full, down)
+        if bit is not None:
+            t, world = divmod(bit, n)
+            return models[t], world
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import And, Formula, Implies, Or, encode
+from .formula import And, Formula, Implies, Or, encode, render
 from .kripke import forces
 from .theories import (Fails, FormulaUniverse, Holds, Oracle,
                        OracleInconclusive, Provable, Refuted, Unknown)
@@ -38,7 +38,7 @@ class QuotientTable:
         try:
             return self._class_of[phi]
         except KeyError:
-            raise OutOfUniverse(f"{phi} is not classified") from None
+            raise OutOfUniverse(f"{render(phi)} is not classified") from None
 
 
 def provably_equivalent(gamma, phi: Formula, psi: Formula, oracle: Oracle):
@@ -85,7 +85,8 @@ def build_quotient(gamma, universe: FormulaUniverse,
                 break
             if isinstance(verdict, Unknown):
                 raise OracleInconclusive(
-                    f"equivalence of {phi} and {members[0]} undecided")
+                    f"equivalence of {render(phi)} and {render(members[0])} "
+                    "undecided")
         else:
             classes.append([phi])
     classes = [tuple(sorted(members, key=encode)) for members in classes]
@@ -95,7 +96,7 @@ def build_quotient(gamma, universe: FormulaUniverse,
     for rep in reps:
         verdict = oracle.provable(gamma, rep)
         if isinstance(verdict, Unknown):
-            raise OracleInconclusive(f"provability of {rep} undecided")
+            raise OracleInconclusive(f"provability of {render(rep)} undecided")
         tops.append(isinstance(verdict, Provable))
     return QuotientTable(gamma, universe, tuple(classes), reps, tuple(tops))
 
@@ -118,7 +119,7 @@ def class_of(table: QuotientTable, phi: Formula) -> int:
         raise OutOfUniverse(
             f"no {ctor.__name__} combination of classes {i} and {j} "
             "lies in the universe")
-    raise OutOfUniverse(f"{phi} is not in the universe")
+    raise OutOfUniverse(f"{render(phi)} is not in the universe")
 
 
 def quotient_ops_well_defined(gamma, universe: FormulaUniverse,
@@ -155,7 +156,7 @@ def truth_matches_provability(gamma, universe: FormulaUniverse,
     for phi in universe.items:
         verdict = oracle.provable(gamma, phi)
         if isinstance(verdict, Unknown):
-            raise OracleInconclusive(f"provability of {phi} undecided")
+            raise OracleInconclusive(f"provability of {render(phi)} undecided")
         if table.provable_top[class_of(table, phi)] != isinstance(verdict, Provable):
             return False
     return True

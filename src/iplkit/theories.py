@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
-                      encode, variable_indices)
+                      encode, render, variable_indices)
 from .kripke import (KripkeModel, find_countermodel, first_refutation, forces,
                      forces_all, make_model, validate_model)
 from .proof import ProofTerm, check
@@ -117,7 +117,7 @@ class Oracle:
             conclusion = check(gamma, proof)
             if conclusion != phi:
                 raise RuntimeError("prover returned a witness for the wrong "
-                                   f"conclusion: {conclusion}")
+                                   f"conclusion: {render(conclusion)}")
             return Provable(proof)
         found = find_countermodel(gamma, phi, self.budget.max_worlds)
         if found is not None:
@@ -359,7 +359,8 @@ def add_formula_to_pair(pair: FormulaPair, phi: Formula,
     verdict = _pair_decision(left_ext, oracle)
     if isinstance(verdict, Unknown):
         raise OracleInconclusive(
-            f"cannot settle consistency after adding {phi}: {verdict.reason}")
+            f"cannot settle consistency after adding {render(phi)}: "
+            f"{verdict.reason}")
     if isinstance(verdict, Refuted):
         return left_ext
     return FormulaPair(pair.left, pair.right | {phi})

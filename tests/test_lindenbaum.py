@@ -130,6 +130,16 @@ class TestClassOf:
         with pytest.raises(OutOfUniverse):
             class_of(table, p0)
 
+    def test_deep_formula_out_of_universe(self, oracle):
+        # the message renders the formula instead of its recursive repr
+        table = build_quotient([], canonical_universe(0, 1), oracle)
+        deep = p0
+        for _ in range(3000):
+            deep = Implies(p0, deep)
+        with pytest.raises(OutOfUniverse) as info:
+            table.class_index(deep)
+        assert str(info.value) == "p0 -> " * 3000 + "p0 is not classified"
+
     def test_compositionality_inside_universe(self, oracle):
         universe = canonical_universe(0, 2)
         table = build_quotient([], universe, oracle)

@@ -8,7 +8,7 @@ from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
 from iplkit.kripke import (find_countermodel, forces, forces_all, make_model,
                            validate_model)
 from iplkit.proof import Premise, check
-from iplkit.theories import (Budget, Fails, Holds, Oracle,
+from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
                              add_formula_to_pair, budget_from_env,
                              canonical_universe, conj_fold, disj_fold,
@@ -140,6 +140,18 @@ class TestDeepFormulas:
         v = Oracle().provable([], phi)
         assert isinstance(v, Provable)
         assert check([], v.witness) == phi
+
+    def test_inconclusive_pair_step_renders_formula(self):
+        # the message embeds the added formula as rendered text, not as
+        # the recursive dataclass repr
+        oracle = Oracle(Budget(max_worlds=1, max_depth=1))
+        pair = make_pair([], [Or(p0, neg(p0))])
+        with pytest.raises(OracleInconclusive) as info:
+            add_formula_to_pair(pair, Implies(p0, And(p0, p1)), oracle)
+        assert str(info.value) == (
+            "cannot settle consistency after adding p0 -> p0 & p1: proof "
+            "search depth budget exhausted and no countermodel within 1 "
+            "worlds")
 
     def test_oracle_proves_deep_identity(self):
         d = p0

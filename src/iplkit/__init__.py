@@ -10,8 +10,8 @@ bridge between the two semantics.
 
 from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Var,
                       Variable, all_formulas, decode, depth, encode, iff, neg,
-                      pairing, parse, render, subformulas, unpairing, var,
-                      variable_indices, variables)
+                      order_key, pairing, parse, render, subformulas,
+                      unpairing, var, variable_indices, variables)
 from .proof import (CATALOG, ProofTerm, check, deduction_theorem, derived,
                     infer_conclusion, proof_from_json, proof_to_json, weaken)
 from .kripke import (KripkeModel, consequence_over_models, enumerate_models,

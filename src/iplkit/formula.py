@@ -3,8 +3,9 @@
 Negation, truth and equivalence are abbreviations, not constructors:
 ``~a`` is ``a -> bot``, ``top`` is ``bot -> bot`` and ``a <-> b`` is
 ``(a -> b) & (b -> a)``.  The module also provides the concrete ASCII
-syntax (parser and minimal-parenthesization renderer) and an injective
-encoding of formulas into natural numbers based on a pairing function.
+syntax (parser and minimal-parenthesization renderer), a deterministic
+total order on formulas, and an injective encoding of formulas into
+natural numbers based on a pairing function.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ class Var:
 class Variable:
     var: Var
 
+    @property
+    def _order(self) -> tuple:
+        """order_key of the variable, built without the render loop."""
+        text = f"p{self.var.index}"
+        return (len(text), text)
+
 
 @dataclass(frozen=True)
 class Bottom:
-    pass
+    _order = (3, "bot")
 
 
 def _binary_hash(node) -> int:
@@ -76,6 +83,7 @@ class And:
     lhs: "Formula"
     rhs: "Formula"
     _hash = None
+    _order = None
     __hash__ = _binary_hash
     __eq__ = _binary_eq
 
@@ -85,6 +93,7 @@ class Or:
     lhs: "Formula"
     rhs: "Formula"
     _hash = None
+    _order = None
     __hash__ = _binary_hash
     __eq__ = _binary_eq
 
@@ -94,6 +103,7 @@ class Implies:
     lhs: "Formula"
     rhs: "Formula"
     _hash = None
+    _order = None
     __hash__ = _binary_hash
     __eq__ = _binary_eq
 
@@ -317,6 +327,20 @@ def render(phi: Formula) -> str:
                 stack.append((")", 0))
             stack += ((f.rhs, right), (text, 0), (f.lhs, left))
     return "".join(out)
+
+
+def order_key(phi: Formula) -> tuple:
+    """(len(text), text) for text = render(phi): a strict total order on
+    formulas, since render is injective, that is the same in every
+    process and grows linearly with the formula.  Leaves give theirs
+    directly; connectives cache theirs like their hash.  A flat pair, so
+    comparing two keys never recurses."""
+    key = phi._order
+    if key is None:
+        text = render(phi)
+        key = (len(text), text)
+        object.__setattr__(phi, "_order", key)
+    return key
 
 
 # ---------------------------------------------------------------------------

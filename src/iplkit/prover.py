@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Variable,
-                      encode)
+                      order_key)
 from .proof import (ContractionConj, Exfalso, Exportation, Importation,
                     ModusPonens, PermutationConj, Premise, ProofTerm,
                     Syllogism, WeakeningConj, WeakeningDisj, _and_compose,
@@ -160,7 +160,7 @@ def _search(prem: frozenset, goal: Formula):
         return (_AND_R, None, (k1, k2), s1[3] | s2[3])
 
     # invertible premise rules: commit to the first applicable one
-    for delta in sorted(prem, key=encode):
+    for delta in sorted(prem, key=order_key):
         if isinstance(delta, Or):
             a, b = delta.lhs, delta.rhs
             rest = prem - {delta}
@@ -200,7 +200,7 @@ def _search(prem: frozenset, goal: Formula):
             if sub is not None:
                 return (rule, None, (key,), sub[3])
 
-    for delta in sorted(prem, key=encode):
+    for delta in sorted(prem, key=order_key):
         if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
             continue
         inner, body = delta.lhs, delta.rhs

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
-                      encode, render, variable_indices)
+                      order_key, render, variable_indices)
 from .kripke import (KripkeModel, find_countermodel, first_refutation, forces,
                      forces_all, make_model, validate_model)
 from .proof import ProofTerm, check
@@ -299,13 +299,13 @@ def is_disjunctive(gamma, universe: FormulaUniverse, oracle: Oracle):
 def _pair_decision(pair: FormulaPair, oracle: Oracle):
     """Oracle verdict for the pair's defining query: the left side proving
     the fold of the right side."""
-    right = sorted(pair.right, key=encode)
+    right = sorted(pair.right, key=order_key)
     return oracle.provable(pair.left, disj_fold(right))
 
 
 def _subset_pairs(left: list, right: list):
     """(Phi, Omega) subset pairs by increasing combined cardinality, then
-    subset size, then positionally (both sides are sorted by encode)."""
+    subset size, then positionally (both sides are sorted by order_key)."""
     for total in range(len(left) + len(right) + 1):
         for k in range(total + 1):
             if k > len(left) or total - k > len(right):
@@ -329,8 +329,8 @@ def pair_consistent(pair: FormulaPair, oracle: Oracle):
         return Holds((verdict.model, verdict.world))
     if isinstance(verdict, Unknown):
         return Unknown(verdict.reason)
-    left = sorted(pair.left, key=encode)
-    right = sorted(pair.right, key=encode)
+    left = sorted(pair.left, key=order_key)
+    right = sorted(pair.right, key=order_key)
     budget = MAX_SUBSET_PAIRS
     for phi_sub, omega_sub in _subset_pairs(left, right):
         if budget <= 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from iplkit.formula import (And, BOT, Bottom, Formula, Implies, Or, Variable,
-                            encode)
+                            order_key)
 from iplkit.proof import (Exfalso, Exportation, ModusPonens, Premise,
                           ProofTerm, Syllogism, WeakeningConj, WeakeningDisj,
                           _and_intro, _conclusion_map, _deduce, _or_elim,
@@ -74,7 +74,7 @@ class ReferenceProver:
             return _and_intro(goal.lhs, goal.rhs, p1, p2)
 
         # invertible premise rules: commit to the first applicable one
-        for delta in sorted(prem, key=encode):
+        for delta in sorted(prem, key=order_key):
             if isinstance(delta, And):
                 a, b = delta.lhs, delta.rhs
                 q = self._prove((prem - {delta}) | {a, b}, goal, depth)
@@ -136,7 +136,7 @@ class ReferenceProver:
             if p is not None:
                 return ModusPonens(p, or_intro_right(goal.lhs, goal.rhs))
 
-        for delta in sorted(prem, key=encode):
+        for delta in sorted(prem, key=order_key):
             if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
                 continue
             inner, body = delta.lhs, delta.rhs

@@ -7,8 +7,8 @@ from reference_syntax import reference_parse, reference_render
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, ParseError, TOP,
                             Variable,
                             all_formulas, decode, depth, encode, iff, neg,
-                            pairing, parse, render, subformulas, unpairing,
-                            var, variables)
+                            order_key, pairing, parse, render, subformulas,
+                            unpairing, var, variables)
 
 p0, p1, p2, p3 = var(0), var(1), var(2), var(3)
 
@@ -253,6 +253,34 @@ class TestIterativeEquality:
         assert a is not b and a == b and not a != b
         assert a != chain(3000, odd=1500)
         assert a != chain(2999)
+
+
+class TestOrderKey:
+    def test_distinct_on_depth3(self):
+        family = all_formulas(2, 3)
+        assert len({order_key(f) for f in family}) == len(family) == 2703
+
+    def test_is_length_then_rendered_text(self):
+        for phi in all_formulas(2, 3) + [var(12), Bottom()]:
+            text = render(phi)
+            assert order_key(phi) == (len(text), text)
+
+    def test_rebuilt_copies_get_equal_keys(self):
+        for phi in all_formulas(2, 3):
+            assert order_key(rebuilt(phi)) == order_key(phi)
+
+    def test_shorter_text_first(self):
+        family = sorted(all_formulas(2, 2), key=order_key)
+        assert family[:3] == [p0, p1, BOT]
+        assert [len(render(f)) for f in family] == \
+            sorted(len(render(f)) for f in family)
+
+    def test_deep_chains(self):
+        # two chains that differ only at the leaf compare without
+        # recursing once per connective
+        a, b = implication_chain(3000), implication_chain(3000, p1)
+        assert order_key(a) == (len(render(a)), render(a))
+        assert sorted([b, a], key=order_key) == [a, b]
 
 
 # Tokens for the differential parser tests, parentheses and negation

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -140,6 +141,27 @@ class TestDeepFormulas:
         v = Oracle().provable([], phi)
         assert isinstance(v, Provable)
         assert check([], v.witness) == phi
+
+    def test_oracle_proves_past_unused_deep_premise(self):
+        # the search orders premises by a key linear in their size, so an
+        # unused 3000-deep premise neither stalls nor crashes it
+        chain = p1
+        for _ in range(3000):
+            chain = Implies(var(2), chain)
+        gamma = [chain, Or(p0, p1)]
+        start = time.perf_counter()
+        v = Oracle().provable(gamma, Or(p1, p0))
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(v, Provable)
+        assert check(gamma, v.witness) == Or(p1, p0)
+
+    def test_pair_with_deep_right_side_is_inconclusive(self):
+        # sorting the right side must not recurse into the chain; proving
+        # the chain then stops at the depth budget
+        pair = make_pair([Or(p0, p1)], [implication_chain(3000, p0), p0])
+        v = pair_consistent(pair, Oracle())
+        assert isinstance(v, Unknown)
+        assert "depth budget exhausted" in v.reason
 
     def test_inconclusive_pair_step_renders_formula(self):
         # the message embeds the added formula as rendered text, not as

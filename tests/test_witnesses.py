@@ -7,10 +7,15 @@ must also be reproducible byte for byte and stay small.
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 
 from reference_prover import ReferenceProver
 
+import iplkit
 from iplkit.formula import BOT, And, Implies, Or, neg, render, var
 from iplkit.proof import Expansion, _children, check, proof_to_json
 from iplkit.theories import Oracle, Provable, canonical_universe
@@ -127,3 +132,41 @@ def test_unused_disjunct_is_not_split():
         kinds.add(type(node))
         stack.extend(_children(node))
     assert Expansion not in kinds
+
+
+# Reads (premises, goal) texts from stdin and prints the proof JSON of
+# each query's witness from a fresh oracle, or null.
+WITNESS_CHILD = """
+import json, sys
+from iplkit.formula import parse
+from iplkit.proof import proof_to_json
+from iplkit.theories import Oracle, Provable
+out = []
+for gamma, phi in json.load(sys.stdin):
+    v = Oracle().provable([parse(t) for t in gamma], parse(phi))
+    out.append(proof_to_json(v.witness) if isinstance(v, Provable) else None)
+print(json.dumps(out))
+"""
+
+
+def test_witnesses_do_not_depend_on_hash_seed():
+    # the prover orders each sequent's premises; that order, and so the
+    # witness, must be the same in every process
+    queries = [q for q in named_laws() if len(q[0]) >= 2]
+    rng = random.Random(10)
+    universe = canonical_universe(3, 1).items
+    queries += [(rng.sample(universe, rng.choice((2, 3))), rng.choice(universe))
+                for _ in range(60)]
+    text = json.dumps([([render(f) for f in gamma], render(phi))
+                       for gamma, phi in queries])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(iplkit.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", WITNESS_CHILD],
+                               input=text, capture_output=True, text=True,
+                               env=env, check=True)
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert sum(w is not None for w in json.loads(outputs[0])) >= 20

@@ -14,7 +14,8 @@ from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Var,
                       unpairing, var, variable_indices, variables)
 from .proof import (CATALOG, ProofTerm, check, deduction_theorem, derived,
                     infer_conclusion, proof_from_json, proof_to_json, weaken)
-from .kripke import (KripkeModel, consequence_over_models, enumerate_models,
+from .kripke import (CountermodelSearchTooLarge, KripkeModel,
+                     consequence_over_models, enumerate_models,
                      find_countermodel, first_refutation, forces, forces_all,
                      forcing_is_monotone, make_model, model_from_json,
                      model_to_json, truth_mask, valid_in_model,

@@ -21,8 +21,9 @@ from .formula import (ParseError, decode, encode, parse, render,
 from .heyting import (algebra_from_json, algebra_to_json,
                       consequence_over_algebras, interpret,
                       make_interpretation, prime_filters, super_prime_filter)
-from .kripke import (_models, consequence_over_models, find_countermodel,
-                     forces, model_from_json, model_to_json)
+from .kripke import (CountermodelSearchTooLarge, _models,
+                     consequence_over_models, find_countermodel, forces,
+                     model_from_json, model_to_json)
 from .lindenbaum import build_quotient, provably_leq
 from .proof import ProofError, check, proof_from_json
 from .theories import (Fails, Holds, Oracle, OracleInconclusive,
@@ -163,10 +164,13 @@ def _cmd_valid(args):
 def _cmd_countermodel(args):
     gamma = _parse_gamma(args.gamma)
     phi = _parse_formula(args.formula)
-    found = find_countermodel(gamma, phi, args.max_worlds)
+    unknown = {"model": None, "world": None, "max_worlds": args.max_worlds}
+    try:
+        found = find_countermodel(gamma, phi, args.max_worlds)
+    except CountermodelSearchTooLarge as exc:
+        return EXIT_UNKNOWN, dict(unknown, reason=str(exc))
     if found is None:
-        return EXIT_UNKNOWN, {"model": None, "world": None,
-                              "max_worlds": args.max_worlds}
+        return EXIT_UNKNOWN, unknown
     model, world = found
     return EXIT_NEGATIVE, {"model": model_to_json(model), "world": world,
                            "max_worlds": args.max_worlds}

@@ -5,13 +5,14 @@ Negation, truth and equivalence are abbreviations, not constructors:
 ``(a -> b) & (b -> a)``.  The module also provides the concrete ASCII
 syntax (parser and minimal-parenthesization renderer), a deterministic
 total order on formulas, and an injective encoding of formulas into
-natural numbers based on a pairing function.
+natural numbers based on a pairing function.  Formulas are hash-consed:
+there is one node per structure, so equal formulas are identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Union
 
 
@@ -22,90 +23,90 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
-class Variable:
-    var: Var
-
-    @property
-    def _order(self) -> tuple:
-        """order_key of the variable, built without the render loop."""
-        text = f"p{self.var.index}"
-        return (len(text), text)
+# Structure key -> the one node: (class, id(lhs), id(rhs)), (Variable,
+# index) or Bottom.  Entries are never removed, so nodes live as long as
+# the process and no id in a key is reused while the key is in the table.
+_TABLE: dict = {}
 
 
-@dataclass(frozen=True)
-class Bottom:
-    _order = (3, "bot")
+class _Node:
+    """An immutable, hash-consed formula node.  Constructors return the
+    one node per structure, so == is identity.  The hash is set at
+    construction and equals the dataclass hash of the fields, so sets of
+    formulas iterate in the same order in every process."""
+
+    __slots__ = ("_hash", "_order")
+    __match_args__: tuple = ()  # the fields, in constructor order
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        # through the constructor, so that unpickling re-interns
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-def _binary_hash(node) -> int:
-    """hash((lhs, rhs)), the dataclass hash, computed bottom-up on first
-    use with an explicit stack and cached on every node it reaches, so
-    formulas of any depth hash without recursion."""
-    if node._hash is None:
-        stack = [node]
-        while stack:
-            top = stack[-1]
-            todo = [k for k in (top.lhs, top.rhs)
-                    if getattr(k, "_hash", 0) is None]
-            if todo:
-                stack.extend(todo)
-            else:
-                stack.pop()
-                object.__setattr__(top, "_hash", hash((top.lhs, top.rhs)))
-    return node._hash
+def _intern(cls, key, values: tuple, hash_value: int):
+    """A new node of cls with the given field values, recorded under key
+    with setdefault, so that threads racing on one key get one node."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash_value)
+    object.__setattr__(node, "_order", None)
+    return _TABLE.setdefault(key, node)
 
 
-def _binary_eq(node, other):
-    """Structural equality, as the dataclass rule, without recursion:
-    identical nodes are equal, nodes whose cached hashes differ are not,
-    and the rest are compared pair by pair with an explicit stack."""
-    if other.__class__ is not node.__class__:
-        return NotImplemented
-    stack = [(node, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__:
-            return False
-        if a.__class__ in _BINARY:
-            if hash(a) != hash(b):
-                return False
-            stack += ((a.rhs, b.rhs), (a.lhs, b.lhs))
-        elif a != b:
-            return False
-    return True
+class Variable(_Node):
+    __slots__ = __match_args__ = ("var",)
+
+    def __new__(cls, var: Var):
+        key = (cls, var.index)
+        return _TABLE.get(key) or _intern(cls, key, (var,), hash((var,)))
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
-    _hash = None
-    _order = None
-    __hash__ = _binary_hash
-    __eq__ = _binary_eq
+class Bottom(_Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _TABLE.get(cls) or _intern(cls, cls, (), hash(()))
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
-    _hash = None
-    _order = None
-    __hash__ = _binary_hash
-    __eq__ = _binary_eq
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs: "Formula", rhs: "Formula"):
+        key = (cls, id(lhs), id(rhs))
+        return _TABLE.get(key) or _intern(cls, key, (lhs, rhs),
+                                          hash((lhs, rhs)))
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
-    _hash = None
-    _order = None
-    __hash__ = _binary_hash
-    __eq__ = _binary_eq
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 _BINARY = (And, Or, Implies)
@@ -332,9 +333,8 @@ def render(phi: Formula) -> str:
 def order_key(phi: Formula) -> tuple:
     """(len(text), text) for text = render(phi): a strict total order on
     formulas, since render is injective, that is the same in every
-    process and grows linearly with the formula.  Leaves give theirs
-    directly; connectives cache theirs like their hash.  A flat pair, so
-    comparing two keys never recurses."""
+    process and grows linearly with the formula, cached on the node on
+    first use.  A flat pair, so comparing two keys never recurses."""
     key = phi._order
     if key is None:
         text = render(phi)

@@ -17,8 +17,22 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .formula import And, Bottom, Formula, Or, Variable, variable_indices
 
 
+# Candidate valuations that find_countermodel may enumerate for one world
+# count.  Refutations in the tests and the benchmark need up to 14,906
+# (three variables on four worlds).  A search whose sizes all stay under
+# the cap takes at most about 1.5 s on a 2-core machine, while the count
+# grows without bound in the number of variables: 2^k on one world,
+# 157,886 for four variables on four worlds.
+MAX_COUNTERMODEL_VALUATIONS = 20_000
+
+
 class EvalError(ValueError):
     """Evaluation against an unknown world or undeclared variable."""
+
+
+class CountermodelSearchTooLarge(Exception):
+    """The next world count of a countermodel search has more candidate
+    valuations than MAX_COUNTERMODEL_VALUATIONS."""
 
 
 @dataclass(frozen=True)
@@ -352,17 +366,34 @@ def enumerate_models(num_vars: int, num_worlds: int) -> Iterator[KripkeModel]:
     return iter(_models(tuple(range(num_vars)), num_worlds))
 
 
+@lru_cache(maxsize=None)
+def _up_set_counts(n: int) -> tuple:
+    """The number of up-sets of each canonical preorder on n worlds."""
+    return tuple(len(_closed_subsets(rel, n, up=True))
+                 for rel in _canonical_preorders(n))
+
+
 def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
     """First (model, world) in enumeration order with at most max_worlds
     worlds that forces gamma but not phi; None if there is none.  Absence
     is not a provability certificate.  Each size is one first_refutation
     over its _family, whose lowest refuting bit lies in the first such
-    model, at its lowest refuting world."""
+    model, at its lowest refuting world.  Raises CountermodelSearchTooLarge
+    before a size whose candidate valuations, the sum over its preorders
+    of (up-sets)^k for k variables, exceed MAX_COUNTERMODEL_VALUATIONS."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     gamma = list(gamma)
     var_indices = tuple(variable_indices(gamma + [phi]))
+    k = len(var_indices)
     for n in range(1, max_worlds + 1):
+        count = sum(u ** k for u in _up_set_counts(n))
+        if count > MAX_COUNTERMODEL_VALUATIONS:
+            raise CountermodelSearchTooLarge(
+                f"countermodel search stopped at world count {n} of "
+                f"{max_worlds}: {k} variables exceed "
+                f"MAX_COUNTERMODEL_VALUATIONS = {MAX_COUNTERMODEL_VALUATIONS} "
+                "candidate valuations")
         models, atoms, full, down = _family(var_indices, n)
         bit = first_refutation(gamma, phi, atoms, full, down)
         if bit is not None:

@@ -16,8 +16,9 @@ from typing import Optional
 
 from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
                       order_key, render, variable_indices)
-from .kripke import (KripkeModel, find_countermodel, first_refutation, forces,
-                     forces_all, make_model, validate_model)
+from .kripke import (CountermodelSearchTooLarge, KripkeModel,
+                     find_countermodel, first_refutation, forces, forces_all,
+                     make_model, validate_model)
 from .proof import ProofTerm, check
 from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
 
@@ -119,14 +120,19 @@ class Oracle:
                 raise RuntimeError("prover returned a witness for the wrong "
                                    f"conclusion: {render(conclusion)}")
             return Provable(proof)
-        found = find_countermodel(gamma, phi, self.budget.max_worlds)
+        worlds = self.budget.max_worlds
+        try:
+            found = find_countermodel(gamma, phi, worlds)
+        except CountermodelSearchTooLarge as exc:
+            found, searched = None, str(exc)
+        else:
+            searched = f"no countermodel within {worlds} worlds"
         if found is not None:
             return self._certify_refuted(gamma, phi, found[0], found[1])
         if exhausted:
-            return Unknown("proof search depth budget exhausted and no "
-                           f"countermodel within {self.budget.max_worlds} worlds")
-        return Unknown(f"no countermodel within {self.budget.max_worlds} "
-                       "worlds (search is not a provability certificate)")
+            return Unknown("proof search depth budget exhausted and "
+                           + searched)
+        return Unknown(f"{searched} (search is not a provability certificate)")
 
     def try_prove(self, gamma, phi: Formula) -> Optional[ProofTerm]:
         """Witness or None; never searches for countermodels."""

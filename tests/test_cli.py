@@ -122,6 +122,18 @@ class TestModelCommands:
         assert code == 3
         assert json.loads(out)["model"] is None
 
+    def test_countermodel_past_the_cap_exit_3(self, capsys):
+        # 2^18 valuations on one world are past the search's fixed cap
+        lem = " & ".join(f"(p{i} -> p{i})" for i in range(1, 18))
+        code, out, _ = run_cli(capsys, "countermodel", lem + " & (p0 | ~p0)",
+                               "--max-worlds", "4")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["model"] is None
+        assert doc["reason"].startswith(
+            "countermodel search stopped at world count 1 of 4: 18 variables "
+            "exceed MAX_COUNTERMODEL_VALUATIONS = ")
+
     def test_countermodel_with_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "countermodel", "p1", "--gamma", "p0",
                                "--max-worlds", "1")

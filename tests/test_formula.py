@@ -1,14 +1,22 @@
+import copy
+import pickle
 import random
+import sys
+import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from reference_syntax import reference_parse, reference_render
+from test_witnesses import named_laws, seeded_queries
 
+from iplkit import formula
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, ParseError, TOP,
-                            Variable,
+                            Var, Variable,
                             all_formulas, decode, depth, encode, iff, neg,
                             order_key, pairing, parse, render, subformulas,
                             unpairing, var, variables)
+from iplkit.theories import Oracle
 
 p0, p1, p2, p3 = var(0), var(1), var(2), var(3)
 
@@ -201,6 +209,79 @@ def implication_chain(n, last=p0):
     return phi
 
 
+class TestInterning:
+    def test_parsed_copies_are_one_node(self):
+        # rebuilt copies: TestIterativeEquality
+        for phi in all_formulas(2, 3):
+            assert parse(render(phi)) is phi
+        assert parse("(p0 -> p1) & ~p2") is parse("(p0->p1)&~p2")
+        assert Bottom() is BOT and var(5) is Variable(Var(5))
+
+    def test_hash_is_the_dataclass_hash_of_the_fields(self):
+        assert hash(BOT) == hash(())
+        assert hash(var(7)) == hash((Var(7),))
+        assert hash(And(p0, p1)) == hash(Or(p0, p1)) == hash((p0, p1))
+
+    def test_copies_and_pickles_are_the_same_node(self):
+        for phi in all_formulas(2, 2) + [implication_chain(300)]:
+            assert pickle.loads(pickle.dumps(phi)) is phi
+        for phi in (p0, BOT, Or(p0, p1), implication_chain(3000)):
+            assert copy.copy(phi) is phi
+            assert copy.deepcopy(phi) is phi
+
+    def test_nodes_are_frozen(self):
+        phi = Implies(p0, p1)
+        with pytest.raises(FrozenInstanceError):
+            phi.lhs = p1
+        with pytest.raises(FrozenInstanceError):
+            p0.var = Var(1)
+        with pytest.raises(FrozenInstanceError):
+            del phi.rhs
+        assert phi.lhs is p0
+
+    def test_repr(self):
+        assert repr(Implies(p0, BOT)) == \
+            "Implies(lhs=Variable(var=Var(index=0)), rhs=Bottom())"
+
+    def test_two_threads_build_one_chain(self):
+        # a variable no other test uses, so the chain is new to the table
+        leaf = var(7919)
+        barrier = threading.Barrier(2, timeout=10)
+        built = [None, None]
+
+        def build(slot):
+            barrier.wait()
+            phi = leaf
+            for _ in range(500):
+                phi = Implies(leaf, phi)
+            built[slot] = phi
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built[0] is not None and built[0] is built[1]
+
+    def test_repeated_queries_add_no_nodes(self):
+        queries = list(named_laws()) + seeded_queries()
+
+        def run():
+            for gamma, phi in queries:
+                Oracle().provable(gamma, phi)
+        run()
+        size = len(formula._TABLE)
+        run()
+        assert len(formula._TABLE) == size
+
+
 class TestCachedHash:
     def test_equals_recursive_dataclass_hash(self):
         for phi in all_formulas(2, 3):
@@ -223,11 +304,13 @@ def rebuilt(phi):
 
 
 def recursive_eq(a, b):
-    """The dataclass rule: same class and equal fields, recursively."""
+    """Structural equality: same class and equal operands, recursively;
+    variables by index, and bot equals bot."""
+    if type(a) is not type(b):
+        return False
     if isinstance(a, (And, Or, Implies)):
-        return type(a) is type(b) and recursive_eq(a.lhs, b.lhs) \
-            and recursive_eq(a.rhs, b.rhs)
-    return type(a) is type(b) and vars(a) == vars(b)
+        return recursive_eq(a.lhs, b.lhs) and recursive_eq(a.rhs, b.rhs)
+    return not isinstance(a, Variable) or a.var.index == b.var.index
 
 
 class TestIterativeEquality:
@@ -239,7 +322,7 @@ class TestIterativeEquality:
                 assert (a != b) == (not recursive_eq(a, b))
         for phi in all_formulas(2, 3):
             copy = rebuilt(phi)
-            assert copy is not phi or isinstance(phi, Bottom)
+            assert copy is phi
             assert copy == phi and phi == copy and not copy != phi
             assert recursive_eq(copy, phi)
 
@@ -250,7 +333,7 @@ class TestIterativeEquality:
                 phi = Implies(var(1 if i == odd else 0), phi)
             return phi
         a, b = chain(3000), chain(3000)
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert a != chain(3000, odd=1500)
         assert a != chain(2999)
 

@@ -6,8 +6,8 @@ import pytest
 
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             encode, neg, parse, var, variables)
-from iplkit.kripke import (find_countermodel, forces, forces_all, make_model,
-                           validate_model)
+from iplkit.kripke import (CountermodelSearchTooLarge, find_countermodel,
+                           forces, forces_all, make_model, validate_model)
 from iplkit.proof import Premise, check
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
@@ -111,6 +111,47 @@ def implication_chain(n, last):
     for _ in range(n):
         phi = Implies(p0, phi)
     return phi
+
+
+def padded_lem(k):
+    """(p1 -> p1) & ... & (p(k-1) -> p(k-1)) & (p0 | ~p0)."""
+    phi = Or(p0, neg(p0))
+    for i in range(k - 1, 0, -1):
+        phi = And(Implies(var(i), var(i)), phi)
+    return phi
+
+
+class TestCountermodelCap:
+    # Before building the models of a world count, the search counts
+    # their candidate valuations and stops past a fixed cap, so a query
+    # over many variables ends at once instead of exhausting memory.
+    def test_search_stops_at_the_first_size_past_the_cap(self):
+        valid = conj_fold([Implies(var(i), var(i)) for i in range(4)])
+        with pytest.raises(CountermodelSearchTooLarge) as info:
+            find_countermodel([], valid, 4)
+        # 4 variables: 1,168 valuations on 3 worlds, 157,886 on 4
+        assert str(info.value).startswith(
+            "countermodel search stopped at world count 4 of 4: 4 variables "
+            "exceed MAX_COUNTERMODEL_VALUATIONS = ")
+
+    def test_padded_excluded_middle_is_unknown_fast(self):
+        start = time.perf_counter()
+        v = Oracle().provable([], padded_lem(18))
+        assert time.perf_counter() - start < 5.0
+        assert isinstance(v, Unknown)
+        assert "MAX_COUNTERMODEL_VALUATIONS" in v.reason
+        assert "world count 1 of 4" in v.reason
+
+    def test_schwicht_256_is_unknown_fast(self):
+        body = p0
+        for i in range(256):
+            body = And(body, Implies(var(i), var(i + 1)))
+        start = time.perf_counter()
+        v = Oracle().provable([], Implies(body, var(256)))
+        assert time.perf_counter() - start < 5.0
+        assert isinstance(v, Unknown)
+        assert v.reason.startswith("proof search depth budget exhausted and "
+                                   "countermodel search stopped")
 
 
 class TestDeepFormulas:

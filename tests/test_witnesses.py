@@ -67,6 +67,15 @@ def named_laws():
     yield [BOT], BOT
 
 
+def seeded_queries() -> list:
+    """60 (premises, goal) queries with 2-3 premises over
+    canonical_universe(3, 1), the same in every run."""
+    rng = random.Random(10)
+    universe = canonical_universe(3, 1).items
+    return [(rng.sample(universe, rng.choice((2, 3))), rng.choice(universe))
+            for _ in range(60)]
+
+
 def dag_size(proof) -> int:
     seen, stack = set(), [proof]
     while stack:
@@ -152,11 +161,7 @@ print(json.dumps(out))
 def test_witnesses_do_not_depend_on_hash_seed():
     # the prover orders each sequent's premises; that order, and so the
     # witness, must be the same in every process
-    queries = [q for q in named_laws() if len(q[0]) >= 2]
-    rng = random.Random(10)
-    universe = canonical_universe(3, 1).items
-    queries += [(rng.sample(universe, rng.choice((2, 3))), rng.choice(universe))
-                for _ in range(60)]
+    queries = [q for q in named_laws() if len(q[0]) >= 2] + seeded_queries()
     text = json.dumps([([render(f) for f in gamma], render(phi))
                        for gamma, phi in queries])
     root = os.path.dirname(os.path.dirname(os.path.abspath(iplkit.__file__)))

@@ -249,9 +249,6 @@ def _cmd_saturate_pair(args):
     oracle = _oracle(args)
     universe = canonical_universe(args.vars, args.depth)
     pair = make_pair(_parse_gamma(args.left), _parse_gamma(args.right))
-    if not (pair.left <= set(universe.items)
-            and pair.right <= set(universe.items)):
-        raise UsageError("pair sides must lie inside the universe")
     try:
         trace = saturation_trace(pair, universe, oracle)
     except OracleInconclusive as exc:

@@ -130,12 +130,14 @@ def iff(phi: Formula, psi: Formula) -> Formula:
     return And(Implies(phi, psi), Implies(psi, phi))
 
 
-def postorder(formulas) -> list:
-    """The distinct nodes (by identity) of the formulas, each after its
-    operands and the operands left to right, from one explicit stack."""
+def postorder(roots, children=None) -> list:
+    """The distinct nodes (by identity) reachable from the roots, each
+    after its children and those left to right, from one explicit stack.
+    children(node) lists a node's children; by default they are a
+    formula's operands."""
     out = []
     seen = set()
-    stack = [(f, False) for f in reversed(list(formulas))]
+    stack = [(f, False) for f in reversed(list(roots))]
     while stack:
         f, expanded = stack.pop()
         if expanded:
@@ -143,7 +145,9 @@ def postorder(formulas) -> list:
         elif id(f) not in seen:
             seen.add(id(f))
             stack.append((f, True))
-            if type(f) in _BINARY:
+            if children is not None:
+                stack += [(k, False) for k in reversed(children(f))]
+            elif type(f) in _BINARY:
                 stack += ((f.rhs, False), (f.lhs, False))
     return out
 

@@ -467,22 +467,27 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     name = str(obj.get("name", ""))
-    if "meet" in obj and "join" in obj:
-        meet = _table(obj["meet"], size, "meet", int)
-        join = _table(obj["join"], size, "join", int)
-        bot = int(obj["bot"])
-        top = int(obj["top"])
-    else:
-        meet, join, bot, top = lattice_from_le(le)
-        if "bot" in obj and int(obj["bot"]) != bot:
-            raise ValueError("declared bot disagrees with the order")
-        if "top" in obj and int(obj["top"]) != top:
-            raise ValueError("declared top disagrees with the order")
-    if "himp" in obj:
-        himp = _table(obj["himp"], size, "himp", int)
-    else:
-        himp = himp_from_order(_table(le, size, "le", bool), meet)
-    alg = make_algebra(size, le, meet, join, himp, bot, top, name)
+    # a member of the wrong type raises TypeError, a missing bot or top
+    # KeyError
+    try:
+        if "meet" in obj and "join" in obj:
+            meet = _table(obj["meet"], size, "meet", int)
+            join = _table(obj["join"], size, "join", int)
+            bot = int(obj["bot"])
+            top = int(obj["top"])
+        else:
+            meet, join, bot, top = lattice_from_le(le)
+            if "bot" in obj and int(obj["bot"]) != bot:
+                raise ValueError("declared bot disagrees with the order")
+            if "top" in obj and int(obj["top"]) != top:
+                raise ValueError("declared top disagrees with the order")
+        if "himp" in obj:
+            himp = _table(obj["himp"], size, "himp", int)
+        else:
+            himp = himp_from_order(_table(le, size, "le", bool), meet)
+        alg = make_algebra(size, le, meet, join, himp, bot, top, name)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed algebra JSON: {exc}") from exc
     bad = validate_algebra(alg)
     if bad:
         raise ValueError(f"not a Heyting algebra: {bad[0]}")

@@ -418,6 +418,25 @@ def model_to_json(model: KripkeModel) -> dict:
     }
 
 
+def _closure(pairs: list, worlds: int) -> set:
+    """The transitive closure of the pairs with (w, w) added for each
+    world w < worlds, by Warshall over per-world successor bitmasks.
+    Worlds out of range stay in, so that make_model names them."""
+    ends = (w for pair in pairs for w in pair)
+    nodes = list(dict.fromkeys([*range(worlds), *ends]))
+    bit = {w: k for k, w in enumerate(nodes)}
+    succ = [1 << k if k < worlds else 0 for k in range(len(nodes))]
+    for i, j in pairs:
+        succ[bit[i]] |= 1 << bit[j]
+    for k in range(len(nodes)):
+        mask, through = 1 << k, succ[k]
+        for i, row in enumerate(succ):
+            if row & mask:
+                succ[i] = row | through
+    return {(nodes[i], nodes[j]) for i, row in enumerate(succ)
+            for j in range(len(nodes)) if row >> j & 1}
+
+
 def model_from_json(obj) -> KripkeModel:
     """Load a model, take the reflexive-transitive closure of the given
     relation, and reject valuations that are not monotone over it."""
@@ -430,21 +449,17 @@ def model_from_json(obj) -> KripkeModel:
         val = dict(obj.get("val", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
-    closure = set(rel)
-    closure.update((w, w) for w in range(worlds))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
+    closure = _closure(rel, worlds)
     valuation = {}
     for v in range(num_vars):
-        valuation[v] = [int(w) for w in val.pop(f"p{v}", [])]
+        try:
+            valuation[v] = [int(w) for w in val.pop(f"p{v}", [])]
+        except TypeError as exc:
+            raise ValueError(f"malformed model JSON: valuation of p{v}: "
+                             f"{exc}") from exc
     if val:
-        raise ValueError(f"valuation keys {sorted(val)} exceed declared vars")
+        raise ValueError(f"valuation keys {sorted(val, key=str)} exceed "
+                         f"declared vars")
     model = make_model(worlds, closure, valuation)
     bad = validate_model(model)
     if bad:

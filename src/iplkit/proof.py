@@ -11,10 +11,11 @@ transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Union
 
-from .formula import And, BOT, Formula, Implies, Or, parse, render
+from .formula import And, BOT, Formula, Implies, Or, parse, postorder, render
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,56 @@ ProofTerm = Union[
     Exportation, Importation, Expansion,
 ]
 
-_AXIOM_TYPES = (
-    ContractionDisj, ContractionConj, WeakeningDisj, WeakeningConj,
-    PermutationDisj, PermutationConj, Exfalso,
-)
+
+class NodeKind(NamedTuple):
+    """A node class as the kernel and the JSON format see it."""
+
+    rule: str                   # the name on the wire
+    formulas: tuple             # the Formula fields, in constructor order
+    subproofs: tuple            # the ProofTerm fields, after the formulas
+    schema: Optional[Callable]  # an axiom's conclusion from its formulas
+    formula_values: Callable    # node -> the values of its formula fields
+    children: Callable          # node -> its subproofs
+
+
+def _getter(names: tuple) -> Callable:
+    """node -> the tuple of the named fields, built once per class."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
+
+
+def _kind(cls, rule: str, schema: Optional[Callable]) -> NodeKind:
+    """The fields annotated Formula are the formulas; the fields after
+    them are the subproofs."""
+    formulas = tuple(f.name for f in fields(cls) if f.type == "Formula")
+    subproofs = tuple(f.name for f in fields(cls))[len(formulas):]
+    return NodeKind(rule, formulas, subproofs, schema, _getter(formulas),
+                    _getter(subproofs))
+
+
+# Every node kind, each written down once.  The seven axioms carry the
+# schema that gives their conclusion; the checker holds the five rules.
+NODE_KINDS = {cls: _kind(cls, rule, schema) for cls, rule, schema in (
+    (Premise, "premise", None),
+    (ContractionDisj, "contraction_disj", lambda f: Implies(Or(f, f), f)),
+    (ContractionConj, "contraction_conj", lambda f: Implies(f, And(f, f))),
+    (WeakeningDisj, "weakening_disj", lambda a, b: Implies(a, Or(a, b))),
+    (WeakeningConj, "weakening_conj", lambda a, b: Implies(And(a, b), a)),
+    (PermutationDisj, "permutation_disj",
+     lambda a, b: Implies(Or(a, b), Or(b, a))),
+    (PermutationConj, "permutation_conj",
+     lambda a, b: Implies(And(a, b), And(b, a))),
+    (Exfalso, "exfalso", lambda f: Implies(BOT, f)),
+    (ModusPonens, "modus_ponens", None),
+    (Syllogism, "syllogism", None),
+    (Exportation, "exportation", None),
+    (Importation, "importation", None),
+    (Expansion, "expansion", None),
+)}
+
+_BY_RULE = {kind.rule: cls for cls, kind in NODE_KINDS.items()}
 
 _NO_PREMISES: frozenset = frozenset()
 
@@ -129,49 +176,9 @@ class ArityMismatch(ValueError):
     pass
 
 
-def _axiom_conclusion(node) -> Formula:
-    if isinstance(node, ContractionDisj):
-        f = node.formula
-        return Implies(Or(f, f), f)
-    if isinstance(node, ContractionConj):
-        f = node.formula
-        return Implies(f, And(f, f))
-    if isinstance(node, WeakeningDisj):
-        return Implies(node.first, Or(node.first, node.second))
-    if isinstance(node, WeakeningConj):
-        return Implies(And(node.first, node.second), node.first)
-    if isinstance(node, PermutationDisj):
-        return Implies(Or(node.first, node.second), Or(node.second, node.first))
-    if isinstance(node, PermutationConj):
-        return Implies(And(node.first, node.second), And(node.second, node.first))
-    return Implies(BOT, node.formula)
-
-
 def _children(node) -> tuple:
-    if isinstance(node, ModusPonens):
-        return (node.minor, node.major)
-    if isinstance(node, Syllogism):
-        return (node.first, node.second)
-    if isinstance(node, (Exportation, Importation, Expansion)):
-        return (node.sub,)
-    return ()
-
-
-def _postorder(proof: ProofTerm, children=_children) -> list:
-    """The distinct nodes (by identity) of proof, each after the nodes
-    that children(node) lists, from one explicit stack."""
-    out = []
-    seen = set()
-    stack = [(proof, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((k, False) for k in children(node))
-    return out
+    kind = NODE_KINDS.get(type(node))
+    return () if kind is None else kind.children(node)
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -208,46 +215,47 @@ def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
             for i, child in enumerate(kids):
                 stack.append((child, (link, i), None))
             continue
-        if isinstance(node, Premise):
+        kind = NODE_KINDS.get(type(node))
+        if kind is None:
+            raise ProofError(f"unknown node {type(node).__name__}",
+                             _path(link))
+        if kind.schema is not None:
+            concl = kind.schema(*kind.formula_values(node))
+            free = _NO_PREMISES
+        elif type(node) is Premise:
             if gamma is not None and node.formula not in gamma:
                 raise PremiseNotInContext(node.formula, _path(link))
             concl, free = node.formula, frozenset((node.formula,))
-        elif isinstance(node, _AXIOM_TYPES):
-            concl, free = _axiom_conclusion(node), _NO_PREMISES
-        elif isinstance(node, ModusPonens):
+        elif type(node) is ModusPonens:
             _, minor, f1 = out[id(node.minor)]
             _, major, f2 = out[id(node.major)]
             if not (isinstance(major, Implies) and major.lhs == minor):
-                raise RuleShapeMismatch("modus_ponens", (minor, major),
-                                        _path(link))
+                raise RuleShapeMismatch(kind.rule, (minor, major), _path(link))
             concl, free = major.rhs, _union(f1, f2)
-        elif isinstance(node, Syllogism):
+        elif type(node) is Syllogism:
             _, first, f1 = out[id(node.first)]
             _, second, f2 = out[id(node.second)]
             if not (isinstance(first, Implies) and isinstance(second, Implies)
                     and first.rhs == second.lhs):
-                raise RuleShapeMismatch("syllogism", (first, second),
+                raise RuleShapeMismatch(kind.rule, (first, second),
                                         _path(link))
             concl, free = Implies(first.lhs, second.rhs), _union(f1, f2)
-        elif isinstance(node, Exportation):
+        elif type(node) is Exportation:
             _, sub, free = out[id(node.sub)]
             if not (isinstance(sub, Implies) and isinstance(sub.lhs, And)):
-                raise RuleShapeMismatch("exportation", (sub,), _path(link))
+                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
             concl = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
-        elif isinstance(node, Importation):
+        elif type(node) is Importation:
             _, sub, free = out[id(node.sub)]
             if not (isinstance(sub, Implies) and isinstance(sub.rhs, Implies)):
-                raise RuleShapeMismatch("importation", (sub,), _path(link))
+                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
             concl = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
-        elif isinstance(node, Expansion):
+        else:  # Expansion
             _, sub, free = out[id(node.sub)]
             if not isinstance(sub, Implies):
-                raise RuleShapeMismatch("expansion", (sub,), _path(link))
+                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
             concl = Implies(Or(node.disjunct, sub.lhs),
                             Or(node.disjunct, sub.rhs))
-        else:
-            raise ProofError(f"unknown node {type(node).__name__}",
-                             _path(link))
         out[id(node)] = (node, concl, free)
     return out
 
@@ -277,24 +285,17 @@ def subst_premise(proof: ProofTerm, target: Formula,
                   replacement: ProofTerm) -> ProofTerm:
     """Replace every Premise(target) node by the given replacement proof."""
     memo: dict = {}
-    for node in _postorder(proof):
-        if isinstance(node, Premise) and node.formula == target:
+    for node in postorder([proof], _children):
+        if type(node) is Premise and node.formula == target:
             memo[id(node)] = replacement
             continue
-        kids = _children(node)
+        kind = NODE_KINDS[type(node)]
+        kids = kind.children(node)
         new_kids = tuple(memo[id(k)] for k in kids)
         if all(nk is ok for nk, ok in zip(new_kids, kids)):
             memo[id(node)] = node
-        elif isinstance(node, ModusPonens):
-            memo[id(node)] = ModusPonens(*new_kids)
-        elif isinstance(node, Syllogism):
-            memo[id(node)] = Syllogism(*new_kids)
-        elif isinstance(node, Exportation):
-            memo[id(node)] = Exportation(*new_kids)
-        elif isinstance(node, Importation):
-            memo[id(node)] = Importation(*new_kids)
         else:
-            memo[id(node)] = Expansion(node.disjunct, *new_kids)
+            memo[id(node)] = type(node)(*kind.formula_values(node), *new_kids)
     return memo[id(proof)]
 
 
@@ -302,49 +303,15 @@ def subst_premise(proof: ProofTerm, target: Formula,
 # JSON wire format: {"rule": name, "formulas": [...], "subproofs": [...]}
 # ---------------------------------------------------------------------------
 
-_NODE_RULE = {
-    Premise: "premise",
-    ContractionDisj: "contraction_disj",
-    ContractionConj: "contraction_conj",
-    WeakeningDisj: "weakening_disj",
-    WeakeningConj: "weakening_conj",
-    PermutationDisj: "permutation_disj",
-    PermutationConj: "permutation_conj",
-    Exfalso: "exfalso",
-    ModusPonens: "modus_ponens",
-    Syllogism: "syllogism",
-    Exportation: "exportation",
-    Importation: "importation",
-    Expansion: "expansion",
-}
-
-_ONE_FORMULA = {"premise": Premise, "contraction_disj": ContractionDisj,
-                "contraction_conj": ContractionConj, "exfalso": Exfalso}
-_TWO_FORMULAS = {"weakening_disj": WeakeningDisj, "weakening_conj": WeakeningConj,
-                 "permutation_disj": PermutationDisj,
-                 "permutation_conj": PermutationConj}
-_TWO_SUBPROOFS = {"modus_ponens": ModusPonens, "syllogism": Syllogism}
-_ONE_SUBPROOF = {"exportation": Exportation, "importation": Importation}
-
-
-def _node_formulas(node) -> tuple:
-    if isinstance(node, (Premise, ContractionDisj, ContractionConj, Exfalso)):
-        return (node.formula,)
-    if isinstance(node, (WeakeningDisj, WeakeningConj, PermutationDisj,
-                         PermutationConj)):
-        return (node.first, node.second)
-    if isinstance(node, Expansion):
-        return (node.disjunct,)
-    return ()
-
 
 def proof_to_json(proof: ProofTerm) -> dict:
     memo: dict = {}
-    for node in _postorder(proof):
+    for node in postorder([proof], _children):
+        kind = NODE_KINDS[type(node)]
         memo[id(node)] = {
-            "rule": _NODE_RULE[type(node)],
-            "formulas": [render(f) for f in _node_formulas(node)],
-            "subproofs": [memo[id(k)] for k in _children(node)],
+            "rule": kind.rule,
+            "formulas": [render(f) for f in kind.formula_values(node)],
+            "subproofs": [memo[id(k)] for k in kind.children(node)],
         }
     return memo[id(proof)]
 
@@ -353,31 +320,24 @@ def proof_from_json(obj) -> ProofTerm:
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ValueError("proof node must be an object with a 'rule' field")
     rule = obj["rule"]
-    formulas = [parse(f) for f in obj.get("formulas", [])]
-    subs = [proof_from_json(s) for s in obj.get("subproofs", [])]
-
-    def want(n_formulas, n_subs):
-        if len(formulas) != n_formulas or len(subs) != n_subs:
-            raise ValueError(
-                f"rule {rule!r} takes {n_formulas} formulas and "
-                f"{n_subs} subproofs")
-
-    if rule in _ONE_FORMULA:
-        want(1, 0)
-        return _ONE_FORMULA[rule](formulas[0])
-    if rule in _TWO_FORMULAS:
-        want(2, 0)
-        return _TWO_FORMULAS[rule](formulas[0], formulas[1])
-    if rule in _TWO_SUBPROOFS:
-        want(0, 2)
-        return _TWO_SUBPROOFS[rule](subs[0], subs[1])
-    if rule in _ONE_SUBPROOF:
-        want(0, 1)
-        return _ONE_SUBPROOF[rule](subs[0])
-    if rule == "expansion":
-        want(1, 1)
-        return Expansion(formulas[0], subs[0])
-    raise ValueError(f"unknown rule {rule!r}")
+    try:
+        texts = list(obj.get("formulas", []))
+        subs = list(obj.get("subproofs", []))
+    except TypeError as exc:
+        raise ValueError(f"rule {rule!r}: formulas and subproofs must be "
+                         f"lists") from exc
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError(f"rule {rule!r}: formulas must be strings")
+    formulas = [parse(text) for text in texts]
+    subs = [proof_from_json(s) for s in subs]
+    cls = _BY_RULE.get(rule) if isinstance(rule, str) else None
+    if cls is None:
+        raise ValueError(f"unknown rule {rule!r}")
+    kind = NODE_KINDS[cls]
+    if len(formulas) != len(kind.formulas) or len(subs) != len(kind.subproofs):
+        raise ValueError(f"rule {rule!r} takes {len(kind.formulas)} formulas "
+                         f"and {len(kind.subproofs)} subproofs")
+    return cls(*formulas, *subs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +387,7 @@ def _imp_swap(outer, inner, target, h) -> ProofTerm:
     return Exportation(Syllogism(PermutationConj(inner, outer), Importation(h)))
 
 
-def _imp_trans_right(outer, inner, mid, target, h, g) -> ProofTerm:
+def _imp_trans_right(h, g) -> ProofTerm:
     # h: outer -> (inner -> mid), g: mid -> target
     # yields outer -> (inner -> target)
     return Exportation(Syllogism(Importation(h), g))
@@ -513,11 +473,9 @@ def distrib_and_or(a: Formula, b: Formula, c: Formula) -> ProofTerm:
     """|- a & (b | c) -> (a & b) | (a & c)"""
     d = Or(And(a, b), And(a, c))
     s1 = _imp_swap(a, b, And(a, b), Exportation(identity(And(a, b))))
-    u1 = _imp_trans_right(b, a, And(a, b), d, s1,
-                          WeakeningDisj(And(a, b), And(a, c)))
+    u1 = _imp_trans_right(s1, WeakeningDisj(And(a, b), And(a, c)))
     s2 = _imp_swap(a, c, And(a, c), Exportation(identity(And(a, c))))
-    u2 = _imp_trans_right(c, a, And(a, c), d, s2,
-                          or_intro_right(And(a, b), And(a, c)))
+    u2 = _imp_trans_right(s2, or_intro_right(And(a, b), And(a, c)))
     oe = _or_elim(b, c, Implies(a, d), u1, u2)
     return Importation(_imp_swap(Or(b, c), a, d, oe))
 
@@ -627,31 +585,13 @@ def iff_elim_right(p: ProofTerm) -> ProofTerm:
     return ModusPonens(p, and_elim_right(c.lhs, c.rhs))
 
 
-CATALOG = {
-    "identity": (identity, 1),
-    "top_intro": (top_intro, 0),
-    "k_axiom": (k_axiom, 2),
-    "imp_chain": (imp_chain, 3),
-    "and_elim_right": (and_elim_right, 2),
-    "disj_of_and_elim_left": (disj_of_and_elim_left, 3),
-    "or_intro_right": (or_intro_right, 2),
-    "and_assoc_left": (and_assoc_left, 3),
-    "and_assoc_right": (and_assoc_right, 3),
-    "distrib_and_or": (distrib_and_or, 3),
-    "dni": (dni, 1),
-    "and_intro": (and_intro, 2),
-    "or_elim": (or_elim, 2),
-    "conj_monotone": (conj_monotone, 2),
-    "conj_monotone_left": (conj_monotone_left, 2),
-    "and_compose": (and_compose, 2),
-    "imp_swap": (imp_swap, 1),
-    "s_rule": (s_rule, 2),
-    "neg_elim": (neg_elim, 2),
-    "ex_falso_rule": (ex_falso_rule, 2),
-    "iff_intro": (iff_intro, 2),
-    "iff_elim_left": (iff_elim_left, 1),
-    "iff_elim_right": (iff_elim_right, 1),
-}
+# name -> (builder, number of arguments)
+CATALOG = {fn.__name__: (fn, fn.__code__.co_argcount) for fn in (
+    identity, top_intro, k_axiom, imp_chain, and_elim_right,
+    disj_of_and_elim_left, or_intro_right, and_assoc_left, and_assoc_right,
+    distrib_and_or, dni, and_intro, or_elim, conj_monotone,
+    conj_monotone_left, and_compose, imp_swap, s_rule, neg_elim,
+    ex_falso_rule, iff_intro, iff_elim_left, iff_elim_right)}
 
 
 def derived(name: str, *args) -> ProofTerm:
@@ -682,7 +622,7 @@ def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
         return _children(node) if phi in table[id(node)][2] else ()
 
     memo: dict = {}
-    for node in _postorder(proof, spine):
+    for node in postorder([proof], spine):
         _, concl, free = table[id(node)]
         if phi not in free:
             memo[id(node)] = ModusPonens(node, k_axiom(concl, phi))

@@ -91,6 +91,28 @@ class TestCheckProof:
         assert code == 2 and "cut" in err
 
 
+class TestMalformedInput:
+    """Input JSON with members of the wrong type is a usage error."""
+
+    @pytest.mark.parametrize("command,doc,rest", [
+        ("check-proof", {"rule": "premise", "formulas": [5],
+                         "subproofs": []}, []),
+        ("check-proof", {"rule": ["x"], "formulas": [], "subproofs": []}, []),
+        ("eval", {"worlds": 2, "rel": [], "vars": 1, "val": {"p0": 5}},
+         ["0", "p0"]),
+        ("alg-valid", {"size": 2, "le": 5}, ["p0"]),
+        ("alg-valid", {"size": 1, "le": [[True]], "meet": [[0]],
+                       "join": [[0]]}, ["p0"]),
+    ])
+    def test_exit_2(self, capsys, tmp_path, command, doc, rest):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path), *rest)
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
+
 class TestModelCommands:
     def test_eval_true(self, capsys, chain2_file):
         code, out, _ = run_cli(capsys, "eval", chain2_file, "1", "p0")
@@ -215,6 +237,12 @@ class TestPipelines:
         code, _, err = run_cli(capsys, "saturate-pair", "--left", "bot",
                                "--right", "", "--vars", "0", "--depth", "0")
         assert code == 2
+
+    def test_saturate_pair_outside_the_universe(self, capsys):
+        code, out, err = run_cli(capsys, "saturate-pair", "--left", "p5",
+                                 "--vars", "1", "--depth", "1")
+        assert code == 2
+        assert out == "" and "subsets of the universe" in err
 
     def test_quotient(self, capsys):
         code, out, _ = run_cli(capsys, "quotient", "--vars", "0",

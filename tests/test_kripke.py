@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from iplkit.bridge import truth_set
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             all_formulas, neg, parse, var)
-from iplkit.kripke import (EvalError, Violation,
+from iplkit.kripke import (EvalError, Violation, _closure,
                            consequence_over_models, enumerate_models,
                            find_countermodel, forces, forces_all,
                            forcing_is_monotone, make_model, model_from_json,
@@ -346,3 +348,41 @@ class TestJson:
         with pytest.raises(ValueError):
             model_from_json({"worlds": 1, "rel": [], "vars": 0,
                              "val": {"p0": [0]}})
+
+
+def reference_closure(rel, worlds) -> set:
+    """The fixpoint model_from_json used before Warshall: add (a, d) for
+    each (a, b), (b, d) until nothing changes."""
+    closure = set(rel)
+    closure.update((w, w) for w in range(worlds))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
+class TestClosure:
+    def test_matches_the_fixpoint(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            worlds = rng.randint(0, 7)
+            # a few pairs leave the range, as in malformed input
+            rel = [(rng.randint(-1, worlds), rng.randint(-1, worlds))
+                   for _ in range(rng.randint(0, 12))]
+            want = reference_closure(rel, worlds)
+            assert _closure(rel, worlds) == want, (rel, worlds)
+            if worlds and all(0 <= w < worlds for pair in rel for w in pair):
+                doc = {"worlds": worlds, "rel": [list(p) for p in rel]}
+                assert model_from_json(doc).rel == want
+
+    def test_long_chain_loads_quickly(self):
+        doc = {"worlds": 150, "rel": [[w, w + 1] for w in range(149)]}
+        start = time.perf_counter()
+        model = model_from_json(doc)
+        assert time.perf_counter() - start < 2.0
+        assert len(model.rel) == 150 * 151 // 2

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import pathlib
+import typing
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iplkit.formula import BOT, And, Implies, Or, neg, parse, render, var
 from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
                           ContractionDisj, Exfalso, Expansion, Exportation,
-                          Importation, ModusPonens, Premise,
+                          Importation, ModusPonens, NODE_KINDS, Premise,
                           PremiseNotInContext, PermutationConj,
+                          ProofError, ProofTerm,
                           PermutationDisj, RuleShapeMismatch, Syllogism,
                           WeakeningConj, WeakeningDisj, and_compose,
                           and_elim_right, and_intro, check, conj_monotone,
@@ -85,6 +89,14 @@ class TestCheck:
     def test_deterministic(self):
         term = Syllogism(WeakeningConj(p0, p1), WeakeningDisj(p0, p2))
         assert check([], term) == check([], term)
+
+    def test_unknown_node(self):
+        with pytest.raises(ProofError, match="unknown node Variable") as err:
+            check([], p0)
+        assert err.value.path == ()
+        with pytest.raises(ProofError, match="unknown node Variable") as err:
+            check([p0], ModusPonens(Premise(p0), p1))
+        assert err.value.path == (1,)
 
 
 ATOMS = [p0, p1, BOT]
@@ -276,6 +288,73 @@ class TestJson:
         with pytest.raises(ValueError):
             proof_from_json({"rule": "premise", "formulas": [], "subproofs": []})
 
+    @pytest.mark.parametrize("doc", [
+        {"rule": ["x"], "formulas": [], "subproofs": []},
+        {"rule": "premise", "formulas": [5], "subproofs": []},
+        {"rule": "premise", "formulas": 5, "subproofs": []},
+        {"rule": "exportation", "formulas": [], "subproofs": 5},
+    ])
+    def test_rejects_members_of_the_wrong_type(self, doc):
+        with pytest.raises(ValueError):
+            proof_from_json(doc)
+
+
+# Terms of all thirteen kinds; neither the JSON format nor subst_premise
+# checks them, so they need not be well typed.
+FORMULAS = st.recursive(
+    st.sampled_from([p0, p1, BOT]),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Implies, sub, sub)),
+    max_leaves=4)
+TERMS = st.recursive(
+    st.one_of(*(st.builds(cls, FORMULAS) for cls in
+                (Premise, ContractionDisj, ContractionConj, Exfalso)),
+              *(st.builds(cls, FORMULAS, FORMULAS) for cls in
+                (WeakeningDisj, WeakeningConj, PermutationDisj,
+                 PermutationConj))),
+    lambda sub: st.one_of(st.builds(ModusPonens, sub, sub),
+                          st.builds(Syllogism, sub, sub),
+                          st.builds(Exportation, sub),
+                          st.builds(Importation, sub),
+                          st.builds(Expansion, FORMULAS, sub)),
+    max_leaves=8)
+
+
+class TestNodeKinds:
+    def test_one_entry_per_proof_term_class(self):
+        assert tuple(NODE_KINDS) == typing.get_args(ProofTerm)
+
+    def test_fields_are_formulas_then_subproofs(self):
+        for cls, kind in NODE_KINDS.items():
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            assert names == kind.formulas + kind.subproofs
+            axiom = cls is not Premise and not kind.subproofs
+            assert (kind.schema is not None) == axiom
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(TERMS)
+    def test_json_round_trip(self, term):
+        doc = json.loads(json.dumps(proof_to_json(term)))
+        assert proof_from_json(doc) == term
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(TERMS, st.sampled_from([p0, p1, BOT]), TERMS)
+    def test_subst_premise_matches_reference(self, term, target, replacement):
+        assert subst_premise(term, target, replacement) == \
+            reference_subst(term, target, replacement)
+
+
+def reference_subst(term, target, replacement):
+    """subst_premise by recursion over the dataclass fields."""
+    if term == Premise(target):
+        return replacement
+    return dataclasses.replace(term, **{
+        f.name: reference_subst(getattr(term, f.name), target, replacement)
+        for f in dataclasses.fields(term)
+        if type(getattr(term, f.name)) in typing.get_args(ProofTerm)})
+
 
 class TestSubstPremise:
     def test_replaces_uses(self):
@@ -287,6 +366,15 @@ class TestSubstPremise:
     def test_untouched_term_is_shared(self):
         term = Syllogism(ContractionConj(p0), WeakeningConj(p0, p0))
         assert subst_premise(term, p1, Premise(p1)) is term
+
+    def test_rebuilds_every_compound_kind(self):
+        hole, filled = Premise(p0), Exfalso(p2)
+        before = [ModusPonens(hole, Exfalso(p1)), Syllogism(Exfalso(p1), hole),
+                  Exportation(hole), Importation(hole), Expansion(p1, hole)]
+        after = [ModusPonens(filled, Exfalso(p1)),
+                 Syllogism(Exfalso(p1), filled), Exportation(filled),
+                 Importation(filled), Expansion(p1, filled)]
+        assert [subst_premise(t, p0, filled) for t in before] == after
 
 
 class TestInfer:

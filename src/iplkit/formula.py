@@ -11,6 +11,7 @@ there is one node per structure, so equal formulas are identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Union
@@ -28,14 +29,21 @@ class Var:
 # the process and no id in a key is reused while the key is in the table.
 _TABLE: dict = {}
 
+# A Variable's rank is its bit in the _vars masks: ranks are handed out
+# in creation order, so a large index costs one bit.  Ranks depend on
+# the order a process builds its variables and never appear in output.
+_RANKS = itertools.count()
+_INDEX_OF_RANK: dict = {}
+
 
 class _Node:
     """An immutable, hash-consed formula node.  Constructors return the
     one node per structure, so == is identity.  The hash is set at
     construction and equals the dataclass hash of the fields, so sets of
-    formulas iterate in the same order in every process."""
+    formulas iterate in the same order in every process.  _vars is the
+    bitmask of the ranks of the variables below the node."""
 
-    __slots__ = ("_hash", "_order")
+    __slots__ = ("_hash", "_order", "_vars")
     __match_args__: tuple = ()  # the fields, in constructor order
 
     def __setattr__(self, name, value):
@@ -53,8 +61,9 @@ class _Node:
     __copy__ = __deepcopy__
 
     def __reduce__(self):
-        # through the constructor, so that unpickling re-interns
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        # a flat program over the distinct nodes, replayed through the
+        # constructors, so that unpickling re-interns at any depth
+        return _rebuild, (_program(self),)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}"
@@ -62,7 +71,7 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-def _intern(cls, key, values: tuple, hash_value: int):
+def _intern(cls, key, values: tuple, hash_value: int, vars_mask: int):
     """A new node of cls with the given field values, recorded under key
     with setdefault, so that threads racing on one key get one node."""
     node = object.__new__(cls)
@@ -70,6 +79,7 @@ def _intern(cls, key, values: tuple, hash_value: int):
         object.__setattr__(node, name, value)
     object.__setattr__(node, "_hash", hash_value)
     object.__setattr__(node, "_order", None)
+    object.__setattr__(node, "_vars", vars_mask)
     return _TABLE.setdefault(key, node)
 
 
@@ -78,14 +88,20 @@ class Variable(_Node):
 
     def __new__(cls, var: Var):
         key = (cls, var.index)
-        return _TABLE.get(key) or _intern(cls, key, (var,), hash((var,)))
+        node = _TABLE.get(key)
+        if node is None:
+            # a thread that loses the race to intern leaves an unused rank
+            rank = next(_RANKS)
+            _INDEX_OF_RANK[rank] = var.index
+            node = _intern(cls, key, (var,), hash((var,)), 1 << rank)
+        return node
 
 
 class Bottom(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get(cls) or _intern(cls, cls, (), hash(()))
+        return _TABLE.get(cls) or _intern(cls, cls, (), hash(()), 0)
 
 
 class _Binary(_Node):
@@ -94,7 +110,8 @@ class _Binary(_Node):
     def __new__(cls, lhs: "Formula", rhs: "Formula"):
         key = (cls, id(lhs), id(rhs))
         return _TABLE.get(key) or _intern(cls, key, (lhs, rhs),
-                                          hash((lhs, rhs)))
+                                          hash((lhs, rhs)),
+                                          lhs._vars | rhs._vars)
 
 
 class And(_Binary):
@@ -159,13 +176,22 @@ def subformulas(phi: Formula) -> frozenset:
 
 def variables(phi: Formula) -> frozenset:
     """The set of Var occurring in phi."""
-    return frozenset(f.var for f in postorder([phi]) if type(f) is Variable)
+    return frozenset(map(Var, variable_indices([phi])))
 
 
 def variable_indices(formulas) -> list:
-    """Sorted indices of the variables occurring in any of the formulas."""
-    return sorted({f.var.index for f in postorder(formulas)
-                   if type(f) is Variable})
+    """Sorted indices of the variables occurring in any of the formulas,
+    read from the nodes' variable masks without a walk."""
+    mask = 0
+    for f in formulas:
+        mask |= f._vars
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(_INDEX_OF_RANK[low.bit_length() - 1])
+        mask ^= low
+    out.sort()
+    return out
 
 
 def depth(phi: Formula) -> int:
@@ -175,6 +201,36 @@ def depth(phi: Formula) -> int:
         below[id(f)] = 1 + max(below[id(f.lhs)], below[id(f.rhs)]) \
             if type(f) in _BINARY else 1
     return below[id(phi)]
+
+
+def _program(phi: Formula) -> tuple:
+    """phi as a post-order program over its distinct nodes: () is bot,
+    (index,) a variable, and (tag, i, j) the connective _BINARY[tag] over
+    the results of steps i and j.  Linear in the number of distinct
+    nodes, also where the tree is exponential."""
+    nodes = postorder([phi])
+    step = {id(f): i for i, f in enumerate(nodes)}
+    out = []
+    for f in nodes:
+        kind = type(f)
+        if kind is Variable:
+            out.append((f.var.index,))
+        elif kind is Bottom:
+            out.append(())
+        else:
+            out.append((_BINARY.index(kind), step[id(f.lhs)], step[id(f.rhs)]))
+    return tuple(out)
+
+
+def _rebuild(program: tuple) -> Formula:
+    """The formula of a _program, interned through the constructors."""
+    built: list = []
+    for op in program:
+        if len(op) == 3:
+            built.append(_BINARY[op[0]](built[op[1]], built[op[2]]))
+        else:
+            built.append(var(op[0]) if op else BOT)
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,14 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
         le = obj["le"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
+    for what in ("le", "meet", "join", "himp"):
+        rows = obj.get(what, [])
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                for row in rows):
+            # a string or an object would be read through its iteration
+            raise ValueError(f"malformed algebra JSON: {what} must be a "
+                             "list of lists of integers")
     name = str(obj.get("name", ""))
     # a member of the wrong type raises TypeError, a missing bot or top
     # KeyError

@@ -49,6 +49,18 @@ class KripkeModel:
         return ({v: sum(1 << w for w in ws) for v, ws in self.valuation},
                 (1 << self.worlds) - 1, _frame_down(self.rel, self.worlds))
 
+    @cached_property
+    def memo(self) -> dict:
+        """id(formula) -> its truth mask in this model, shared by forces,
+        forces_all and valid_in_model.  Keys are ids, which is safe only
+        because formula._TABLE never evicts a node, so no id is reused."""
+        return {}
+
+    def __reduce__(self):
+        # copies and pickles start with cold caches: ids in a memo do not
+        # name the same formulas in another process
+        return KripkeModel, (self.worlds, self.rel, self.valuation)
+
     def var_indices(self) -> tuple:
         return tuple(v for v, _ in self.valuation)
 
@@ -101,21 +113,54 @@ class Violation:
 
 
 def validate_model(model: KripkeModel) -> list:
-    """Empty list iff reflexivity, transitivity and monotonicity all hold."""
-    out = []
-    rel = model.rel
-    for w in range(model.worlds):
-        if (w, w) not in rel:
-            out.append(Violation("reflexivity", (w,)))
-    for a, b in sorted(rel):
-        for c in range(model.worlds):
-            if (b, c) in rel and (a, c) not in rel:
-                out.append(Violation("transitivity", (a, b, c)))
+    """Empty list iff reflexivity, transitivity and monotonicity all hold,
+    checked on per-world successor bitmasks.  Violations come in the
+    order of loops over range(worlds), sorted(rel) and then the third
+    world."""
+    labels, bit, succ, out = _frame_check(model.rel, model.worlds)
+    out = list(out)
     for v, ws in model.valuation:
-        for a, b in sorted(rel):
-            if a in ws and b not in ws:
-                out.append(Violation("monotonicity", (v, a, b)))
+        truth = 0
+        for w in ws:
+            if w in bit:
+                truth |= 1 << bit[w]
+        for ka in _ones(truth):
+            bad = succ[ka] & ~truth
+            if bad:
+                out += [Violation("monotonicity", (v, labels[ka], labels[kb]))
+                        for kb in _ones(bad)]
     return out
+
+
+@lru_cache(maxsize=4096)
+def _frame_check(rel: frozenset, worlds: int) -> tuple:
+    """(labels, bit, succ, violations) of a frame, shared by its models.
+    labels lists the worlds that the frame or the relation names, sorted,
+    and bit maps each to its position k; succ[k] has bit j set when
+    (labels[k], labels[j]) is in rel.  violations lists the frame's
+    reflexivity and transitivity violations."""
+    labels = sorted({*range(worlds), *(w for pair in rel for w in pair)})
+    bit = {w: k for k, w in enumerate(labels)}
+    succ = [0] * len(labels)
+    for a, b in rel:
+        succ[bit[a]] |= 1 << bit[b]
+    out = [Violation("reflexivity", (w,)) for w in range(worlds)
+           if not succ[bit[w]] >> bit[w] & 1]
+    inside = sum(1 << bit[w] for w in range(worlds))
+    for ka, row in enumerate(succ):
+        for kb in _ones(row):
+            out += [Violation("transitivity",
+                              (labels[ka], labels[kb], labels[kc]))
+                    for kc in _ones(succ[kb] & inside & ~row)]
+    return labels, bit, succ, tuple(out)
+
+
+def _ones(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
@@ -126,10 +171,15 @@ def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
     atoms maps a variable index to its truth mask, full masks all worlds
     and down(s) is the set of worlds that see some world of s.  With the
     identity as down (a discrete frame) each world is a classical
-    assignment.  memo maps id(subformula) to its mask; formulas sharing
-    a memo share subformulas and must stay alive while it is in use.
+    assignment.  memo maps id(subformula) to its mask in this frame and
+    valuation; it holds only finished masks, so a walk stopped by an
+    EvalError leaves it correct.  Keys are ids, which is safe only because
+    formula._TABLE never evicts a node, so no id is reused.
     """
-    memo = {} if memo is None else memo
+    if memo is None:
+        memo = {}
+    elif id(phi) in memo:
+        return memo[id(phi)]
     stack = [phi]
     while stack:
         f = stack[-1]
@@ -165,11 +215,13 @@ def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
 
 
 def first_refutation(gamma, phi: Formula, atoms: Mapping, full: int,
-                     down) -> Optional[int]:
+                     down, memo: Optional[dict] = None) -> Optional[int]:
     """The lowest world forcing all of gamma but not phi, or None, with
-    truth_mask's frame arguments; phi is skipped once no world is left."""
+    truth_mask's frame arguments and memo (a fresh one if None); phi is
+    skipped once no world is left."""
     gamma = list(gamma)
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     mask = full
     for g in gamma:
         mask &= truth_mask(g, atoms, full, down, memo)
@@ -183,19 +235,19 @@ def forces(model: KripkeModel, world: int, phi: Formula) -> bool:
     """Intuitionistic truth of phi at a world of a valid model."""
     if not 0 <= world < model.worlds:
         raise EvalError(f"unknown world {world}")
-    return bool(truth_mask(phi, *model.masks) >> world & 1)
+    return bool(truth_mask(phi, *model.masks, model.memo) >> world & 1)
 
 
 def valid_in_model(model: KripkeModel, phi: Formula) -> bool:
-    return truth_mask(phi, *model.masks) == (1 << model.worlds) - 1
+    atoms, full, down = model.masks
+    return truth_mask(phi, atoms, full, down, model.memo) == full
 
 
 def forces_all(model: KripkeModel, world: int, gamma) -> bool:
     """True iff every member of gamma holds at the world."""
     if not 0 <= world < model.worlds:
         raise EvalError(f"unknown world {world}")
-    memo: dict = {}
-    return all(truth_mask(g, *model.masks, memo) >> world & 1
+    return all(truth_mask(g, *model.masks, model.memo) >> world & 1
                for g in list(gamma))
 
 
@@ -437,6 +489,16 @@ def _closure(pairs: list, worlds: int) -> set:
             for j in range(len(nodes)) if row >> j & 1}
 
 
+def _ints(value, what: str) -> list:
+    """A JSON list of integers as it is; ValueError for any other value,
+    so that a string or an object is not read through its iteration."""
+    if not isinstance(value, list) or \
+            not all(type(x) is int for x in value):
+        raise ValueError(f"malformed model JSON: {what} must be a list of "
+                         "integers")
+    return value
+
+
 def model_from_json(obj) -> KripkeModel:
     """Load a model, take the reflexive-transitive closure of the given
     relation, and reject valuations that are not monotone over it."""
@@ -444,19 +506,22 @@ def model_from_json(obj) -> KripkeModel:
         raise ValueError("model JSON must be an object")
     try:
         worlds = int(obj["worlds"])
-        rel = [(int(i), int(j)) for i, j in obj.get("rel", [])]
         num_vars = int(obj.get("vars", 0))
-        val = dict(obj.get("val", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
-    closure = _closure(rel, worlds)
-    valuation = {}
-    for v in range(num_vars):
-        try:
-            valuation[v] = [int(w) for w in val.pop(f"p{v}", [])]
-        except TypeError as exc:
-            raise ValueError(f"malformed model JSON: valuation of p{v}: "
-                             f"{exc}") from exc
+    rel = obj.get("rel", [])
+    val = obj.get("val", {})
+    if not isinstance(rel, list) or not isinstance(val, dict):
+        raise ValueError("malformed model JSON: rel must be a list and val "
+                         "an object")
+    pairs = [_ints(pair, "each pair of rel") for pair in rel]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("malformed model JSON: each pair of rel must name "
+                         "two worlds")
+    closure = _closure(pairs, worlds)
+    val = dict(val)
+    valuation = {v: _ints(val.pop(f"p{v}", []), f"the valuation of p{v}")
+                 for v in range(num_vars)}
     if val:
         raise ValueError(f"valuation keys {sorted(val, key=str)} exceed "
                          f"declared vars")

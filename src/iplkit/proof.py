@@ -320,12 +320,11 @@ def proof_from_json(obj) -> ProofTerm:
     if not isinstance(obj, dict) or "rule" not in obj:
         raise ValueError("proof node must be an object with a 'rule' field")
     rule = obj["rule"]
-    try:
-        texts = list(obj.get("formulas", []))
-        subs = list(obj.get("subproofs", []))
-    except TypeError as exc:
+    texts = obj.get("formulas", [])
+    subs = obj.get("subproofs", [])
+    if not isinstance(texts, list) or not isinstance(subs, list):
         raise ValueError(f"rule {rule!r}: formulas and subproofs must be "
-                         f"lists") from exc
+                         f"lists")
     if not all(isinstance(text, str) for text in texts):
         raise ValueError(f"rule {rule!r}: formulas must be strings")
     formulas = [parse(text) for text in texts]

@@ -88,12 +88,20 @@ class Oracle:
     classical refutation is always sound here.  The prover's memo of
     derivations lives as long as the oracle; a proved query's witness is
     replayed from it once and checked by the kernel against gamma.
+
+    The oracle also keeps the truth-table scan of its latest variable set,
+    (idx, atoms, full, memo), so consecutive queries over one set evaluate
+    each shared subformula once; a query over another set replaces it.
+    Its one-world countermodels are kept per (idx, world), so a repeated
+    refuting assignment returns the same model, whose forcing memo is warm.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
         self.budget = budget or Budget()
         self._prover = Prover(self.budget.max_depth)
         self._cache: dict = {}
+        self._scan: Optional[tuple] = None
+        self._models: dict = {}
 
     def provable(self, gamma, phi: Formula):
         gamma = frozenset(gamma)
@@ -146,24 +154,25 @@ class Oracle:
 
     def _classical_countermodel(self, gamma: frozenset,
                                 phi: Formula) -> Optional[KripkeModel]:
-        idx = variable_indices([*gamma, phi])
+        idx = tuple(variable_indices([*gamma, phi]))
         k = len(idx)
         if k > 16:
             return None
-        # World j of a discrete frame is the j-th assignment in truth-table
-        # order, False before True and idx[0] slowest: idx[i] holds at j
-        # iff bit k-1-i of j is set, the upper half of each block of 2 * run.
-        full = (1 << (1 << k)) - 1
-        atoms = {}
-        for i, v in enumerate(idx):
-            run = 1 << (k - 1 - i)
-            atoms[v] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-        world = first_refutation(gamma, phi, atoms, full, lambda mask: mask)
+        scan = self._scan
+        if scan is None or scan[0] != idx:
+            scan = self._scan = (idx, *_truth_table(idx), {})
+        # the memo's keys are ids, which is safe only because
+        # formula._TABLE never evicts a node, so no id is reused
+        _, atoms, full, memo = scan
+        world = first_refutation(gamma, phi, atoms, full, _discrete, memo)
         if world is None:
             return None
-        return make_model(1, {(0, 0)},
-                          {v: [0] if world >> (k - 1 - i) & 1 else []
-                           for i, v in enumerate(idx)})
+        model = self._models.get((idx, world))
+        if model is None:
+            model = self._models[idx, world] = make_model(
+                1, {(0, 0)}, {v: [0] if world >> (k - 1 - i) & 1 else []
+                              for i, v in enumerate(idx)})
+        return model
 
     def _certify_refuted(self, gamma, phi, model, world) -> Refuted:
         if validate_model(model):
@@ -171,6 +180,25 @@ class Oracle:
         if not forces_all(model, world, gamma) or forces(model, world, phi):
             raise RuntimeError("refutation certificate does not re-evaluate")
         return Refuted(model, world)
+
+
+def _truth_table(idx: tuple) -> tuple:
+    """(atoms, full) of the discrete frame of all assignments to the k
+    variables of idx.  World j is the j-th assignment in truth-table
+    order, False before True and idx[0] slowest: idx[i] holds at j iff
+    bit k-1-i of j is set, the upper half of each block of 2 * run."""
+    k = len(idx)
+    full = (1 << (1 << k)) - 1
+    atoms = {}
+    for i, v in enumerate(idx):
+        run = 1 << (k - 1 - i)
+        atoms[v] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    return atoms, full
+
+
+def _discrete(mask: int) -> int:
+    """down in a discrete frame: every world sees only itself."""
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,12 @@ class TestMalformedInput:
         ("alg-valid", {"size": 2, "le": 5}, ["p0"]),
         ("alg-valid", {"size": 1, "le": [[True]], "meet": [[0]],
                        "join": [[0]]}, ["p0"]),
+        # containers of the wrong type, which iterating them would accept
+        ("alg-valid", {"size": 1, "le": "x"}, ["p0"]),
+        ("check-proof", {"rule": "premise", "formulas": {"p0": 1},
+                         "subproofs": []}, []),
+        ("eval", {"worlds": 2, "rel": [], "vars": 1, "val": {"p0": "01"}},
+         ["0", "p0"]),
     ])
     def test_exit_2(self, capsys, tmp_path, command, doc, rest):
         path = tmp_path / "input.json"

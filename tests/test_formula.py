@@ -1,11 +1,14 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_syntax import reference_parse, reference_render
 from test_witnesses import named_laws, seeded_queries
@@ -14,8 +17,9 @@ from iplkit import formula
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, ParseError, TOP,
                             Var, Variable,
                             all_formulas, decode, depth, encode, iff, neg,
-                            order_key, pairing, parse, render, subformulas,
-                            unpairing, var, variables)
+                            order_key, pairing, parse, postorder, render,
+                            subformulas, unpairing, var, variable_indices,
+                            variables)
 from iplkit.theories import Oracle
 
 p0, p1, p2, p3 = var(0), var(1), var(2), var(3)
@@ -280,6 +284,91 @@ class TestInterning:
         size = len(formula._TABLE)
         run()
         assert len(formula._TABLE) == size
+
+
+def doubling(levels):
+    """And(f, f) nested levels deep: a DAG of levels + 1 distinct nodes
+    whose tree has 2^levels leaves."""
+    phi = p0
+    for _ in range(levels):
+        phi = And(phi, phi)
+    return phi
+
+
+class TestPickle:
+    def test_deep_chain_round_trips_to_the_same_node(self):
+        phi = implication_chain(3000, p1)
+        data = pickle.dumps(phi)
+        assert pickle.loads(data) is phi
+        assert b"_vars" not in data
+
+    def test_size_is_linear_in_the_distinct_nodes(self):
+        sizes = [len(pickle.dumps(doubling(n))) for n in (30, 60)]
+        assert sizes[1] < 40 * 61
+        assert sizes[1] - sizes[0] < 40 * 30
+        phi = doubling(60)
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+
+    def test_a_fresh_process_rebuilds_the_nodes(self):
+        phi = And(implication_chain(700, var(424243)), Or(BOT, var(424241)))
+        child = ("import pickle, sys\n"
+                 "from iplkit.formula import render, variable_indices\n"
+                 "phi = pickle.loads(sys.stdin.buffer.read())\n"
+                 "print(variable_indices([phi]), render(phi))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            formula.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", child],
+                             input=pickle.dumps(phi), capture_output=True,
+                             env=env, timeout=60, check=True)
+        assert out.stdout.decode() == f"[0, 424241, 424243] {render(phi)}\n"
+
+
+def reference_indices(formulas) -> list:
+    return sorted({f.var.index for f in postorder(formulas)
+                   if type(f) is Variable})
+
+
+# indices up to 10^6, interned in the order hypothesis draws them
+_leaves = st.one_of(st.just(BOT), st.integers(0, 10 ** 6).map(var),
+                    st.integers(0, 5).map(var))
+_formulas = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Implies, sub, sub)),
+    max_leaves=12)
+
+
+class TestVariableMasks:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(_formulas, max_size=4))
+    def test_match_a_postorder_walk(self, formulas):
+        want = reference_indices(formulas)
+        assert variable_indices(formulas) == want
+        for phi in formulas:
+            assert variables(phi) == frozenset(
+                Var(i) for i in reference_indices([phi]))
+
+    def test_variables_built_in_shuffled_order(self):
+        indices = random.Random(17).sample(range(900_000, 10 ** 6), 40)
+        leaves = [var(i) for i in indices]
+        phi = leaves[0]
+        for leaf in leaves[1:]:
+            phi = Implies(leaf, Or(phi, BOT))
+        assert variable_indices([phi]) == sorted(indices)
+        assert variable_indices([phi, p3, BOT]) == [3] + sorted(indices)
+        assert variable_indices([]) == [] and variables(TOP) == frozenset()
+
+    def test_no_walk(self, monkeypatch):
+        phi = implication_chain(3000, And(p2, neg(p3)))
+
+        def walk(*args, **kwargs):
+            raise AssertionError("postorder called")
+        monkeypatch.setattr(formula, "postorder", walk)
+        assert variable_indices([phi, p1]) == [0, 1, 2, 3]
+        assert variables(phi) == frozenset({Var(0), Var(2), Var(3)})
 
 
 class TestCachedHash:

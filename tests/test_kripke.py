@@ -1,13 +1,16 @@
+import copy
+import pickle
 import random
 import time
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iplkit.bridge import truth_set
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             all_formulas, neg, parse, var)
-from iplkit.kripke import (EvalError, Violation, _closure,
+from iplkit.kripke import (EvalError, KripkeModel, Violation, _closure,
                            consequence_over_models, enumerate_models,
                            find_countermodel, forces, forces_all,
                            forcing_is_monotone, make_model, model_from_json,
@@ -386,3 +389,123 @@ class TestClosure:
         model = model_from_json(doc)
         assert time.perf_counter() - start < 2.0
         assert len(model.rel) == 150 * 151 // 2
+
+
+def reference_validate(model) -> list:
+    """The loops validate_model ran before successor bitmasks: one
+    membership test per (pair, world) and per (variable, pair)."""
+    out = []
+    rel = model.rel
+    for w in range(model.worlds):
+        if (w, w) not in rel:
+            out.append(Violation("reflexivity", (w,)))
+    for a, b in sorted(rel):
+        for c in range(model.worlds):
+            if (b, c) in rel and (a, c) not in rel:
+                out.append(Violation("transitivity", (a, b, c)))
+    for v, ws in model.valuation:
+        for a, b in sorted(rel):
+            if a in ws and b not in ws:
+                out.append(Violation("monotonicity", (v, a, b)))
+    return out
+
+
+class TestValidateBitmasks:
+    def test_matches_the_loops(self):
+        rng = random.Random(13)
+        valid = 0
+        for _ in range(1500):
+            worlds = rng.randint(1, 7)
+            rel = {(rng.randrange(worlds), rng.randrange(worlds))
+                   for _ in range(rng.randint(0, 16))}
+            if rng.random() < 0.5:
+                rel = _closure(list(rel), worlds)
+            if rng.random() < 0.1:
+                # worlds out of range, as in a directly built model
+                rel.add((rng.choice((-1, worlds)), rng.randrange(worlds)))
+                rel.add((rng.randrange(worlds), rng.choice((-2, worlds + 1))))
+            valuation = []
+            for v in range(rng.randint(0, 3)):
+                ws = {w for w in range(worlds) if rng.random() < 0.4}
+                if rng.random() < 0.5:
+                    # close up along the relation, so it may be monotone
+                    ws |= {b for a, b in rel if a in ws}
+                if rng.random() < 0.1:
+                    ws.add(worlds + rng.randint(0, 2))
+                valuation.append((v, frozenset(ws)))
+            model = KripkeModel(worlds, frozenset(rel), tuple(valuation))
+            want = reference_validate(model)
+            assert validate_model(model) == want, model
+            valid += not want
+        assert 100 < valid < 1400
+
+    def test_long_chain_loads_in_half_a_second(self):
+        doc = {"worlds": 300, "rel": [[w, w + 1] for w in range(299)],
+               "vars": 1, "val": {"p0": list(range(150, 300))}}
+        start = time.perf_counter()
+        model = model_from_json(doc)
+        assert time.perf_counter() - start < 0.5
+        assert len(model.rel) == 300 * 301 // 2
+
+    def test_names_the_violations_of_a_long_chain(self):
+        rel = {(w, w + 1) for w in range(199)} | {(w, w) for w in range(200)}
+        model = KripkeModel(200, frozenset(rel), ((0, frozenset({0})),))
+        assert validate_model(model) == reference_validate(model)
+
+
+# formulas over p0..p2 for models that declare only p0 and p1, so a walk
+# may stop at an undeclared variable
+_leaves = st.one_of(st.just(BOT), st.integers(0, 2).map(var))
+_formulas = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Implies, sub, sub)),
+    max_leaves=8)
+_MODELS = list(enumerate_models(2, 1)) + list(enumerate_models(2, 2)) + \
+    list(enumerate_models(2, 3))
+
+
+def outcome(model, world, phi):
+    try:
+        return forces(model, world, phi)
+    except EvalError:
+        return "EvalError"
+
+
+class TestModelMemo:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(_MODELS), st.lists(_formulas, min_size=1,
+                                              max_size=6))
+    def test_warm_memo_agrees_with_a_fresh_model(self, base, formulas):
+        pieces = (base.worlds, base.rel, dict(base.valuation))
+        warm = make_model(*pieces)
+        for phi in formulas:
+            for w in range(warm.worlds):
+                outcome(warm, w, phi)
+        for phi in formulas:
+            for w in range(warm.worlds):
+                assert outcome(warm, w, phi) == \
+                    outcome(make_model(*pieces), w, phi)
+            if outcome(warm, 0, phi) != "EvalError":
+                assert valid_in_model(warm, phi) == \
+                    valid_in_model(make_model(*pieces), phi)
+                assert forces_all(warm, 0, [phi]) == \
+                    forces_all(make_model(*pieces), 0, [phi])
+
+    def test_a_stopped_walk_leaves_only_finished_masks(self):
+        m = chain2()
+        phi = Implies(Or(p0, neg(p0)), And(var(2), p0))
+        with pytest.raises(EvalError):
+            forces(m, 0, phi)
+        assert id(phi) not in m.memo and id(var(2)) not in m.memo
+        assert forces(m, 1, Or(p0, neg(p0)))
+        assert not forces(m, 0, Or(p0, neg(p0)))
+
+    def test_copies_and_pickles_start_cold(self):
+        m = chain2()
+        forces(m, 0, LEM)
+        for other in (copy.copy(m), copy.deepcopy(m),
+                      pickle.loads(pickle.dumps(m))):
+            assert other == m and other.memo == {}
+            assert other.memo is not m.memo

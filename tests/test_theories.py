@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import product
@@ -5,10 +6,12 @@ from itertools import product
 import pytest
 
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
-                            encode, neg, parse, var, variables)
+                            encode, neg, parse, var, variable_indices,
+                            variables)
 from iplkit.kripke import (CountermodelSearchTooLarge, find_countermodel,
-                           forces, forces_all, make_model, validate_model)
-from iplkit.proof import Premise, check
+                           forces, forces_all, make_model, model_from_json,
+                           model_to_json, validate_model)
+from iplkit.proof import Premise, check, proof_to_json
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
                              add_formula_to_pair, budget_from_env,
@@ -281,6 +284,66 @@ class TestClassicalScan:
             phi = random_formula(rng, 8, 7)
             assert (oracle._classical_countermodel(frozenset(gamma), phi)
                     == truth_table_countermodel(gamma, phi))
+
+
+def certificate_text(verdict) -> str:
+    if isinstance(verdict, Provable):
+        body = proof_to_json(verdict.witness)
+    elif isinstance(verdict, Refuted):
+        body = [model_to_json(verdict.model), verdict.world]
+    else:
+        body = verdict.reason
+    return json.dumps([type(verdict).__name__, body], sort_keys=True)
+
+
+def query_sequence(seed, n):
+    """n queries that keep a variable set for a few steps, then switch to
+    another, over canonical_universe(3, 1) and random formulas."""
+    rng = random.Random(seed)
+    universe = canonical_universe(3, 1).items
+    out = []
+    while len(out) < n:
+        wanted = set(rng.sample(range(4), rng.randint(1, 3)))
+        pool = [f for f in universe
+                if set(variable_indices([f])) <= wanted]
+        pool += [random_formula(rng, 4, 4) for _ in range(6)]
+        for _ in range(rng.randint(1, 8)):
+            gamma = rng.sample(pool, rng.randint(0, 2))
+            out.append((gamma, rng.choice(pool)))
+    return out[:n]
+
+
+class TestLongLivedOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certificates_equal_those_of_fresh_oracles(self, seed):
+        queries = query_sequence(seed, 120)
+        shared = Oracle()
+        kinds = set()
+        sets = set()
+        for gamma, phi in queries:
+            got = shared.provable(gamma, phi)
+            if seed == 2:
+                shared.try_prove(gamma, Implies(phi, phi))
+            assert certificate_text(got) == \
+                certificate_text(Oracle().provable(gamma, phi))
+            kinds.add(type(got).__name__)
+            sets.add(tuple(variable_indices([*gamma, phi])))
+            if isinstance(got, Refuted):
+                # re-checked in a copy of the model with a cold memo
+                model = model_from_json(model_to_json(got.model))
+                assert validate_model(got.model) == []
+                assert forces_all(model, got.world, gamma)
+                assert not forces(model, got.world, phi)
+        assert kinds == {"Provable", "Refuted"} and len(sets) > 5
+
+    def test_a_repeated_assignment_returns_the_same_model(self):
+        oracle = Oracle()
+        a = oracle.provable([], Or(p0, p1))
+        b = oracle.provable([], And(p0, p1))
+        assert isinstance(a, Refuted) and a.model is b.model
+        oracle.provable([], var(2))
+        c = oracle.provable([p1], And(p0, p1))
+        assert c.model is not a.model and c.model != a.model
 
 
 class TestTheoryPredicates:

@@ -10,7 +10,6 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -92,13 +91,6 @@ def _parse_assignment(text):
             raise UsageError(f"bad assignment entry {part!r}; want p<i>=<elem>")
         out[int(key[1:])] = int(value)
     return out
-
-
-def _oracle(args) -> Oracle:
-    budget = budget_from_env()
-    if getattr(args, "max_worlds", None) is not None:
-        budget = dataclasses.replace(budget, max_worlds=args.max_worlds)
-    return Oracle(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +238,7 @@ def _cmd_bridge_a2k(args):
 
 
 def _cmd_saturate_pair(args):
-    oracle = _oracle(args)
+    oracle = Oracle(budget_from_env())
     universe = canonical_universe(args.vars, args.depth)
     pair = make_pair(_parse_gamma(args.left), _parse_gamma(args.right))
     try:
@@ -268,7 +260,7 @@ def _cmd_saturate_pair(args):
 
 
 def _cmd_quotient(args):
-    oracle = _oracle(args)
+    oracle = Oracle(budget_from_env())
     universe = canonical_universe(args.vars, args.depth)
     gamma = _parse_gamma(args.gamma)
     try:
@@ -336,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iplkit",
         description="Intuitionistic propositional logic toolkit. "
                     "The environment variable IPLKIT_BUDGET (e.g. "
-                    "'worlds=4,depth=512') sets default oracle bounds.")
+                    "'depth=512') sets the oracle's proof search depth.")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a formula and echo its canonical form")
@@ -370,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countermodel", help="bounded countermodel search")
     p.add_argument("formula")
     p.add_argument("--gamma", default="", help="comma-separated premises")
-    p.add_argument("--max-worlds", type=int,
-                   default=budget_from_env().max_worlds)
+    p.add_argument("--max-worlds", type=int, default=4)
     p.set_defaults(handler=_cmd_countermodel)
 
     p = sub.add_parser("alg-eval", help="algebraic value of a formula")
@@ -418,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", default="", help="comma-separated formulas")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--depth", type=int, required=True, help=depth_help)
-    p.add_argument("--max-worlds", type=int, default=None)
     p.set_defaults(handler=_cmd_saturate_pair)
 
     p = sub.add_parser("quotient",
@@ -426,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="", help="comma-separated premises")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--depth", type=int, required=True, help=depth_help)
-    p.add_argument("--max-worlds", type=int, default=None)
     p.set_defaults(handler=_cmd_quotient)
 
     p = sub.add_parser("universe", help="canonical formula universe")
@@ -453,12 +442,7 @@ def main(argv=None) -> int:
     if set_digit_limit is not None:
         set_digit_limit(0)
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

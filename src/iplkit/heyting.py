@@ -461,11 +461,14 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
     absent.  The result is validated before use."""
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
-    try:
-        size = int(obj["size"])
-        le = obj["le"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed algebra JSON: {exc}") from exc
+    if "le" not in obj:
+        raise ValueError("malformed algebra JSON: missing le")
+    size, le = obj.get("size"), obj["le"]
+    # json.load gives bool for true and false, which int() would take
+    if type(size) is not int or \
+            any(type(obj.get(k, 0)) is not int for k in ("bot", "top")):
+        raise ValueError("malformed algebra JSON: size, bot and top must be "
+                         "integers")
     for what in ("le", "meet", "join", "himp"):
         rows = obj.get(what, [])
         if not isinstance(rows, list) or not all(
@@ -481,13 +484,13 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
         if "meet" in obj and "join" in obj:
             meet = _table(obj["meet"], size, "meet", int)
             join = _table(obj["join"], size, "join", int)
-            bot = int(obj["bot"])
-            top = int(obj["top"])
+            bot = obj["bot"]
+            top = obj["top"]
         else:
             meet, join, bot, top = lattice_from_le(le)
-            if "bot" in obj and int(obj["bot"]) != bot:
+            if "bot" in obj and obj["bot"] != bot:
                 raise ValueError("declared bot disagrees with the order")
-            if "top" in obj and int(obj["top"]) != top:
+            if "top" in obj and obj["top"] != top:
                 raise ValueError("declared top disagrees with the order")
         if "himp" in obj:
             himp = _table(obj["himp"], size, "himp", int)

@@ -3,8 +3,8 @@
 Worlds are dense integer indices, the accessibility relation is an
 explicit pair set (reflexive and transitive), and valuations are
 monotone truth sets per variable.  The module also enumerates all valid
-models of a given size up to world relabeling and searches them for
-countermodels, all models of one size at once as a disjoint union.
+models of a given size up to world relabeling and searches them, one
+model at a time, for minimal countermodels.
 """
 
 from __future__ import annotations
@@ -25,14 +25,18 @@ from .formula import And, Bottom, Formula, Or, Variable, variable_indices
 # 157,886 for four variables on four worlds.
 MAX_COUNTERMODEL_VALUATIONS = 20_000
 
+# Labeled preorders on 1, 2, ... worlds: _canonical_preorders builds each
+# and tests it against every relabeling before a world count is searched.
+_LABELED_PREORDERS = (1, 4, 29, 355, 6942, 209_527)
+
 
 class EvalError(ValueError):
     """Evaluation against an unknown world or undeclared variable."""
 
 
 class CountermodelSearchTooLarge(Exception):
-    """The next world count of a countermodel search has more candidate
-    valuations than MAX_COUNTERMODEL_VALUATIONS."""
+    """The next world count of a countermodel search has more labeled
+    preorders or candidate valuations than MAX_COUNTERMODEL_VALUATIONS."""
 
 
 @dataclass(frozen=True)
@@ -364,52 +368,6 @@ def _models(var_indices: tuple, n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _family(var_indices: tuple, n: int) -> tuple:
-    """(models, atoms, full, down) for the disjoint union of _models:
-    world w of the t-th model is bit t*n + w, so one truth_mask call
-    evaluates a formula in every model of n worlds at once.
-
-    Masks are filled through bytearrays, linear in their bits.  down
-    groups each non-reflexive edge (i, j) of every model into one column
-    mask, the bits t*n + j of the models holding it, and moves s & col
-    from world j to world i; reflexive edges keep s itself.
-    """
-    models = _models(var_indices, n)
-    size = (len(models) * n + 7) // 8
-    atom_bits = {v: bytearray(size) for v in var_indices}
-    col_bits: dict = {}
-    for t, model in enumerate(models):
-        base = t * n
-        for v, ws in model.valuation:
-            bits = atom_bits[v]
-            for w in ws:
-                bits[(base + w) >> 3] |= 1 << ((base + w) & 7)
-        for i, j in model.rel:
-            if i != j:
-                bits = col_bits.get((i, j))
-                if bits is None:
-                    bits = col_bits[(i, j)] = bytearray(size)
-                bits[(base + j) >> 3] |= 1 << ((base + j) & 7)
-    atoms = {v: int.from_bytes(bits, "little")
-             for v, bits in atom_bits.items()}
-    right, left = [], []
-    for (i, j), bits in sorted(col_bits.items()):
-        col = int.from_bytes(bits, "little")
-        (right if j > i else left).append((col, abs(j - i)))
-    full = (1 << len(models) * n) - 1
-    return models, atoms, full, partial(_union_down, tuple(right), tuple(left))
-
-
-def _union_down(right: tuple, left: tuple, mask: int) -> int:
-    out = mask
-    for col, k in right:
-        out |= (mask & col) >> k
-    for col, k in left:
-        out |= (mask & col) << k
-    return out
-
-
 def enumerate_models(num_vars: int, num_worlds: int) -> Iterator[KripkeModel]:
     """Every valid model on exactly num_worlds worlds over p0..p(num_vars-1),
     up to world relabeling, in deterministic order."""
@@ -427,30 +385,34 @@ def _up_set_counts(n: int) -> tuple:
 
 def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
     """First (model, world) in enumeration order with at most max_worlds
-    worlds that forces gamma but not phi; None if there is none.  Absence
-    is not a provability certificate.  Each size is one first_refutation
-    over its _family, whose lowest refuting bit lies in the first such
-    model, at its lowest refuting world.  Raises CountermodelSearchTooLarge
-    before a size whose candidate valuations, the sum over its preorders
-    of (up-sets)^k for k variables, exceed MAX_COUNTERMODEL_VALUATIONS."""
+    worlds that forces gamma but not phi, at the model's lowest refuting
+    world; None if there is none.  Absence is not a provability
+    certificate.  Raises CountermodelSearchTooLarge before a size whose
+    labeled preorders, or whose candidate valuations (the sum over its
+    canonical preorders of (up-sets)^k for k variables), exceed
+    MAX_COUNTERMODEL_VALUATIONS."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     gamma = list(gamma)
     var_indices = tuple(variable_indices(gamma + [phi]))
     k = len(var_indices)
     for n in range(1, max_worlds + 1):
-        count = sum(u ** k for u in _up_set_counts(n))
-        if count > MAX_COUNTERMODEL_VALUATIONS:
-            raise CountermodelSearchTooLarge(
-                f"countermodel search stopped at world count {n} of "
-                f"{max_worlds}: {k} variables exceed "
-                f"MAX_COUNTERMODEL_VALUATIONS = {MAX_COUNTERMODEL_VALUATIONS} "
-                "candidate valuations")
-        models, atoms, full, down = _family(var_indices, n)
-        bit = first_refutation(gamma, phi, atoms, full, down)
-        if bit is not None:
-            t, world = divmod(bit, n)
-            return models[t], world
+        if n > len(_LABELED_PREORDERS) or \
+                _LABELED_PREORDERS[n - 1] > MAX_COUNTERMODEL_VALUATIONS:
+            too_many = "its labeled preorders"
+        elif sum(u ** k for u in _up_set_counts(n)) > \
+                MAX_COUNTERMODEL_VALUATIONS:
+            too_many = f"{k} variables"
+        else:
+            for model in _models(var_indices, n):
+                world = first_refutation(gamma, phi, *model.masks)
+                if world is not None:
+                    return model, world
+            continue
+        raise CountermodelSearchTooLarge(
+            f"countermodel search stopped at world count {n} of {max_worlds}: "
+            f"{too_many} exceed MAX_COUNTERMODEL_VALUATIONS = "
+            f"{MAX_COUNTERMODEL_VALUATIONS}")
     return None
 
 
@@ -504,11 +466,11 @@ def model_from_json(obj) -> KripkeModel:
     relation, and reject valuations that are not monotone over it."""
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
-    try:
-        worlds = int(obj["worlds"])
-        num_vars = int(obj.get("vars", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed model JSON: {exc}") from exc
+    worlds, num_vars = obj.get("worlds"), obj.get("vars", 0)
+    # json.load gives bool for true and false, which int() would take
+    if type(worlds) is not int or type(num_vars) is not int:
+        raise ValueError("malformed model JSON: worlds and vars must be "
+                         "integers")
     rel = obj.get("rel", [])
     val = obj.get("val", {})
     if not isinstance(rel, list) or not isinstance(val, dict):

@@ -11,7 +11,9 @@ discharge costs one Exportation node.  Both phases are generators that
 one loop runs on an explicit stack, so the depth budget, not the
 interpreter's recursion limit, bounds the search; it is surfaced as
 SearchBudgetExceeded so callers can report an inconclusive verdict
-instead of a wrong one.
+instead of a wrong one.  G4ip terminates, so a search that fails is a
+refutation: countermodel reads a finite Kripke countermodel off the
+failed search's memo.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Variable,
-                      order_key)
+                      order_key, var, variable_indices)
+from .kripke import make_model
 from .proof import (ContractionConj, Exfalso, Exportation, Importation,
                     ModusPonens, PermutationConj, Premise, ProofTerm,
                     Syllogism, WeakeningConj, WeakeningDisj, _and_compose,
@@ -58,6 +61,45 @@ class Prover:
             return Premise(goal)
         root = _Context(TOP, None, dict.fromkeys(key[0], _PREMISE))
         return ModusPonens(Exfalso(BOT), self._drive(root, key))
+
+    def countermodel(self, premises, goal: Formula) -> Optional[tuple]:
+        """(model, 0) for a Kripke model whose world 0 forces the premises
+        but not goal, read off the failed search of premises |- goal, or
+        None if the sequent is provable (Pinto and Dyckhoff 1995).  Each
+        irreducible failed sequent becomes one world that forces exactly
+        its atomic premises and sees the worlds of the sequents that
+        _refutation lists for it; any other failed sequent takes the
+        world of the sequent it passes on to."""
+        root = (frozenset(premises), goal)
+        if self._drive(None, root) is not None:
+            return None
+        world: dict = {}        # failed sequent -> its world, in post-order
+        prems, ups = [], []     # per world: its premises, the worlds it sees
+        stack = [(root, None)]
+        while stack:
+            key, plan = stack.pop()
+            if key in world:
+                continue
+            if plan is None:
+                plan = _refutation(self._memo, key)
+                stack += [(key, plan), *((k, None) for k in plan[0])]
+                continue
+            subs, own = plan
+            if not own:
+                world[key] = world[subs[0]]
+            else:
+                world[key] = len(ups)
+                prems.append(key[0])
+                up = 1 << len(ups)
+                for k in subs:
+                    up |= ups[world[k]]
+                ups.append(up)
+        last = len(ups) - 1     # the root's world, renumbered 0
+        rel = [(last - i, last - j) for i, up in enumerate(ups)
+               for j in range(i + 1) if up >> j & 1]
+        val = {v: [last - i for i, prem in enumerate(prems) if var(v) in prem]
+               for v in variable_indices([*root[0], goal])}
+        return make_model(len(ups), rel, val), 0
 
     def _drive(self, ctx: Optional["_Context"], key: tuple):
         """The memo entry of one job, run with every job it yields on one
@@ -219,6 +261,31 @@ def _search(prem: frozenset, goal: Formula):
         return (_IMP_IMP_L, delta, (k1, k2),
                 (s1[3] & rest) | (s2[3] - {body}) | {delta})
     return None
+
+
+def _refutation(memo: dict, key: tuple) -> tuple:
+    """(subs, own) for a failed sequent, read from the search memo by
+    replaying _search on it.  own is False when a countermodel of the
+    failed sequent subs[0] refutes key too: an invertible rule's failed
+    premise, or the failed second premise of a nested-implication rule
+    whose first premise was proved.  Otherwise key is irreducible: its
+    own world sits below countermodels of the failed sequents subs, its
+    disjunct goals and the first premises of its nested implications."""
+    prem, goal = key
+    tried, job, value = [], _search(prem, goal), None
+    try:
+        while True:
+            tried.append(job.send(value)[1])
+            value = memo[tried[-1]]
+    except StopIteration:
+        pass
+    if isinstance(goal, (Implies, And)) or any(
+            isinstance(d, Or) or _adds(d, prem) is not None for d in prem):
+        return tried[-1:], False
+    for k, after in zip(tried, tried[1:]):
+        if memo[k] is not None:
+            return [after], False
+    return tried, True
 
 
 def _adds(delta: Formula, prem: frozenset) -> Optional[tuple]:

@@ -3,7 +3,7 @@
 Everything here is relative to a pluggable oracle that never asserts an
 uncertified verdict: Provable always carries a kernel-checked witness,
 Refuted always carries a re-validated countermodel, and anything beyond
-the configured budgets is Unknown.
+the depth budget is Unknown.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Optional
 
 from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
                       order_key, render, variable_indices)
-from .kripke import (CountermodelSearchTooLarge, KripkeModel,
-                     find_countermodel, first_refutation, forces, forces_all,
+from .kripke import (KripkeModel, first_refutation, forces, forces_all,
                      make_model, validate_model)
 from .proof import ProofTerm, check
 from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
@@ -28,25 +27,20 @@ MAX_SUBSET_PAIRS = 20000
 
 @dataclass(frozen=True)
 class Budget:
-    max_worlds: int = 4
     max_depth: int = DEFAULT_MAX_DEPTH
 
 
 def budget_from_env(text: Optional[str] = None) -> Budget:
-    """Parse the IPLKIT_BUDGET setting, e.g. "worlds=4,depth=512"."""
+    """Parse the IPLKIT_BUDGET setting, e.g. "depth=512"."""
     if text is None:
         text = os.environ.get("IPLKIT_BUDGET", "")
     if not text.strip():
         return Budget()
-    fields = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in ("worlds", "depth") or not value.strip().isdigit():
+        if key.strip() != "depth" or not value.strip().isdigit():
             raise ValueError(f"bad IPLKIT_BUDGET entry {part!r}")
-        fields[key] = int(value)
-    return Budget(max_worlds=fields.get("worlds", Budget.max_worlds),
-                  max_depth=fields.get("depth", Budget.max_depth))
+    return Budget(max_depth=int(value))
 
 
 @dataclass(frozen=True)
@@ -83,11 +77,12 @@ class Oracle:
     """Three-valued provability oracle with certificates.
 
     Strategy: a classical truth-table scan first (a refuting assignment
-    is a one-world countermodel), then backward proof search, then
-    bounded countermodel search.  Classical logic extends this one, so a
-    classical refutation is always sound here.  The prover's memo of
-    derivations lives as long as the oracle; a proved query's witness is
-    replayed from it once and checked by the kernel against gamma.
+    is a one-world countermodel), then backward proof search, which
+    decides every query within its depth budget.  Classical logic extends
+    this one, so a classical refutation is always sound here.  The
+    prover's memo of derivations lives as long as the oracle; a proved
+    query's witness is replayed from it once and checked by the kernel
+    against gamma, and a failed search yields a countermodel.
 
     The oracle also keeps the truth-table scan of its latest variable set,
     (idx, atoms, full, memo), so consecutive queries over one set evaluate
@@ -116,34 +111,22 @@ class Oracle:
         refutation = self._classical_countermodel(gamma, phi)
         if refutation is not None:
             return self._certify_refuted(gamma, phi, refutation, 0)
-        exhausted = False
         try:
             proof = self._prover.prove(gamma, phi)
         except SearchBudgetExceeded:
-            proof = None
-            exhausted = True
-        if proof is not None:
-            conclusion = check(gamma, proof)
-            if conclusion != phi:
-                raise RuntimeError("prover returned a witness for the wrong "
-                                   f"conclusion: {render(conclusion)}")
-            return Provable(proof)
-        worlds = self.budget.max_worlds
-        try:
-            found = find_countermodel(gamma, phi, worlds)
-        except CountermodelSearchTooLarge as exc:
-            found, searched = None, str(exc)
-        else:
-            searched = f"no countermodel within {worlds} worlds"
-        if found is not None:
-            return self._certify_refuted(gamma, phi, found[0], found[1])
-        if exhausted:
-            return Unknown("proof search depth budget exhausted and "
-                           + searched)
-        return Unknown(f"{searched} (search is not a provability certificate)")
+            return Unknown("proof search depth budget exhausted "
+                           f"(depth={self.budget.max_depth})")
+        if proof is None:
+            return self._certify_refuted(
+                gamma, phi, *self._prover.countermodel(gamma, phi))
+        conclusion = check(gamma, proof)
+        if conclusion != phi:
+            raise RuntimeError("prover returned a witness for the wrong "
+                               f"conclusion: {render(conclusion)}")
+        return Provable(proof)
 
     def try_prove(self, gamma, phi: Formula) -> Optional[ProofTerm]:
-        """Witness or None; never searches for countermodels."""
+        """Witness or None; never builds a countermodel."""
         gamma = frozenset(gamma)
         if self._classical_countermodel(gamma, phi) is not None:
             return None

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,17 @@ class TestMalformedInput:
                          "subproofs": []}, []),
         ("eval", {"worlds": 2, "rel": [], "vars": 1, "val": {"p0": "01"}},
          ["0", "p0"]),
+        # scalars that int() would coerce: strings, booleans, floats
+        ("eval", {"worlds": "2", "rel": [], "vars": True, "val": {}},
+         ["0", "p0"]),
+        ("eval", {"worlds": 1.5, "rel": [], "vars": 1, "val": {}},
+         ["0", "p0"]),
+        ("eval", {"rel": [], "vars": 1, "val": {}}, ["0", "p0"]),
+        ("alg-valid", {"size": 1.9, "le": [[True]]}, ["p0"]),
+        ("alg-valid", {"size": "1", "le": [[True]]}, ["p0"]),
+        ("alg-valid", {"size": 1, "le": [[True]], "meet": [[0]],
+                       "join": [[0]], "bot": False, "top": 0}, ["p0"]),
+        ("alg-valid", {"size": 1, "le": [[True]], "top": 0.0}, ["p0"]),
     ])
     def test_exit_2(self, capsys, tmp_path, command, doc, rest):
         path = tmp_path / "input.json"
@@ -161,6 +173,18 @@ class TestModelCommands:
         assert doc["reason"].startswith(
             "countermodel search stopped at world count 1 of 4: 18 variables "
             "exceed MAX_COUNTERMODEL_VALUATIONS = ")
+
+    def test_countermodel_past_the_frame_cap_exit_3(self, capsys):
+        # 6 worlds have more labeled preorders than the cap, so the search
+        # stops there instead of building them
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "countermodel", "p0 -> p0",
+                               "--max-worlds", "7")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert json.loads(out)["reason"].startswith(
+            "countermodel search stopped at world count 6 of 7: its labeled "
+            "preorders exceed MAX_COUNTERMODEL_VALUATIONS = ")
 
     def test_countermodel_with_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "countermodel", "p1", "--gamma", "p0",
@@ -316,14 +340,18 @@ class TestDeterminism:
         json.loads(out)
 
     def test_budget_env_applies(self):
-        argv = ("countermodel", "p0 | ~p0")
-        out = self.run_child(*argv, budget="worlds=1")
+        argv = ("saturate-pair", "--vars", "1", "--depth", "1")
+        out = self.run_child(*argv, budget="depth=1")
         assert out.returncode == 3, out.stderr.decode()
-        assert json.loads(out.stdout)["max_worlds"] == 1
-        # control: the default budget of 4 worlds finds the countermodel
+        assert "depth budget exhausted (depth=1)" in \
+            json.loads(out.stdout)["error"]
+        # control: the default depth budget saturates the pair
         control = self.run_child(*argv)
-        assert control.returncode == 1, control.stderr.decode()
-        assert json.loads(control.stdout)["model"] is not None
+        assert control.returncode == 0, control.stderr.decode()
+        # the oracle has no worlds budget any more
+        stale = self.run_child(*argv, budget="worlds=1")
+        assert stale.returncode == 2
+        assert stale.stdout == b"" and b"IPLKIT_BUDGET" in stale.stderr
 
 
 def run_module(*argv):

@@ -1,18 +1,16 @@
-"""find_countermodel evaluates every model of one size at once, as the
-disjoint union kripke._family builds; these tests hold it to the
-per-model loop it replaced (tests/reference_kripke.py) and to
-truth_mask on each model alone."""
+"""The oracle decides every query by proof search and reads its
+countermodels off the failed search; these tests hold it to
+find_countermodel, the bounded search over enumerated models, and hold
+the oracle's classical scan to the one-world models."""
 
 import random
 
 import pytest
 
-from iplkit.formula import (And, BOT, Implies, Or, Variable, all_formulas,
-                            neg, var)
-from iplkit.kripke import _family, _models, find_countermodel, truth_mask
-from iplkit.theories import Oracle
-
-from reference_kripke import find_countermodel as reference_countermodel
+from iplkit.formula import (And, BOT, Implies, Or, all_formulas, neg, render,
+                            var)
+from iplkit.kripke import find_countermodel, forces, forces_all, validate_model
+from iplkit.theories import Oracle, Refuted, Unknown
 
 p0, p1, p2 = var(0), var(1), var(2)
 
@@ -40,19 +38,10 @@ def random_queries(seed, count):
         gamma = [random_formula(rng, rng.randint(0, 3), num_vars)
                  for _ in range(rng.randint(0, 2))]
         phi = random_formula(rng, rng.randint(0, 5), num_vars)
-        if len(out) % 2 and reference_countermodel(gamma, phi, 1):
+        if len(out) % 2 and find_countermodel(gamma, phi, 1):
             continue
         out.append((gamma, phi))
     return out
-
-
-def rename(phi, mapping):
-    """phi with each variable p_i replaced by p_mapping[i]."""
-    if isinstance(phi, Variable):
-        return var(mapping[phi.var.index])
-    if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(rename(phi.lhs, mapping), rename(phi.rhs, mapping))
-    return phi
 
 
 def bd(n):
@@ -81,28 +70,38 @@ THREE_VAR_QUERIES = [
 ]
 
 
-def assert_same(gamma, phi, max_worlds):
-    want = reference_countermodel(gamma, phi, max_worlds)
-    got = find_countermodel(gamma, phi, max_worlds)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert got[0] is want[0] and got[1] == want[1]
+def assert_oracle_agrees(gamma, phi, max_worlds):
+    """A fresh oracle against the bounded model search: a model within
+    max_worlds means Refuted, and Provable means there is none.  The
+    oracle decides every query, and each of its countermodels is a valid
+    model whose world forces gamma but not phi."""
+    verdict = Oracle().provable(gamma, phi)
+    assert not isinstance(verdict, Unknown), (gamma, render(phi))
+    found = find_countermodel(gamma, phi, max_worlds)
+    if found is not None:
+        assert isinstance(verdict, Refuted), (gamma, render(phi))
+    if isinstance(verdict, Refuted):
+        model, world = verdict.model, verdict.world
+        assert validate_model(model) == []
+        assert forces_all(model, world, gamma)
+        assert not forces(model, world, phi)
 
 
 class TestMatchesPerModelLoop:
+    """The oracle's countermodels, read off failed proof search, against
+    find_countermodel, the per-model loop over enumerated models."""
+
     def test_all_formulas_two_vars_depth_three(self):
         for phi in all_formulas(2, 3):
-            assert_same([], phi, 3)
+            assert_oracle_agrees([], phi, 3)
 
     def test_seeded_premise_goal_pairs(self):
         for gamma, phi in random_queries(9, 3000):
-            assert_same(gamma, phi, 3)
+            assert_oracle_agrees(gamma, phi, 3)
 
     @pytest.mark.parametrize("gamma,phi", THREE_VAR_QUERIES)
     def test_three_vars_four_worlds(self, gamma, phi):
-        assert_same(gamma, phi, 4)
+        assert_oracle_agrees(gamma, phi, 4)
 
     def test_bd3_needs_four_worlds(self):
         model, world = find_countermodel([], bd(3), 4)
@@ -110,39 +109,10 @@ class TestMatchesPerModelLoop:
         assert find_countermodel([], bd(3), 3) is None
 
 
-class TestFamilySlices:
-    @pytest.mark.parametrize("indices,formulas", [
-        ((0, 1), all_formulas(2, 2)),
-        ((), all_formulas(0, 3)),
-        ((0, 3), [rename(f, (0, 3)) for f in all_formulas(2, 2)]),
-    ], ids=["p0p1", "no-vars", "p0p3"])
-    def test_blocks_match_each_model(self, indices, formulas):
-        for n in (1, 2, 3):
-            models, atoms, full, down = _family(indices, n)
-            assert models is _models(indices, n)
-            assert full == (1 << len(models) * n) - 1
-            block = (1 << n) - 1
-            family_memo = {}
-            model_memos = [{} for _ in models]
-            for phi in formulas:
-                mask = truth_mask(phi, atoms, full, down, family_memo)
-                for t, model in enumerate(models):
-                    want = truth_mask(phi, *model.masks, model_memos[t])
-                    assert mask >> t * n & block == want
-
-    def test_down_stays_inside_each_model(self):
-        models, _, full, down = _family((0,), 3)
-        for t, model in enumerate(models):
-            for w in range(3):
-                seen_by = down(1 << t * 3 + w)
-                assert seen_by == sum(1 << t * 3 + i
-                                      for i, j in model.rel if j == w)
-        assert down(full) == full and down(0) == 0
-
-
 class TestClassicalScanIsTheOneWorldSlice:
-    """Oracle._classical_countermodel and the one-world family agree, so
-    the scan could be replaced by find_countermodel(gamma, phi, 1)."""
+    """Oracle._classical_countermodel and the one-world models of
+    find_countermodel agree, so the scan could be replaced by
+    find_countermodel(gamma, phi, 1)."""
 
     def queries(self):
         yield from (([], phi) for phi in all_formulas(2, 3))

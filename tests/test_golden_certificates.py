@@ -3,7 +3,8 @@
 The file holds the proof JSON of every Provable witness, and the model
 JSON and world of every Refuted certificate, from a fresh oracle for the
 named laws and the seeded queries of test_witnesses.py, then the sides
-of the saturation trace of the empty pair over canonical_universe(2, 1).
+of the saturation trace of the empty pair over canonical_universe(2, 1),
+then the countermodels of test_witnesses.multi_world_refutations.
 The oracle must reproduce it byte for byte.  A change that moves a
 witness on purpose regenerates the file, from the repository root, with
 
@@ -15,7 +16,7 @@ and records that it did.
 import json
 import os
 
-from test_witnesses import named_laws, seeded_queries
+from test_witnesses import multi_world_refutations, named_laws, seeded_queries
 
 from iplkit.formula import render
 from iplkit.kripke import model_to_json
@@ -43,7 +44,8 @@ def certificate(gamma, phi) -> dict:
 
 def golden_text() -> str:
     """One JSON value per line: the query certificates, then each step
-    of the saturation trace with both sides in universe order."""
+    of the saturation trace with both sides in universe order, then the
+    certificates of refutations that need more than one world."""
     lines = [certificate(gamma, phi)
              for gamma, phi in list(named_laws()) + seeded_queries()]
     universe = canonical_universe(2, 1)
@@ -51,6 +53,8 @@ def golden_text() -> str:
         lines.append({side: [render(f) for f in sorted(fs, key=universe.code)]
                       for side, fs in (("left", pair.left),
                                        ("right", pair.right))})
+    lines += [certificate(gamma, phi)
+              for gamma, phi in multi_world_refutations()]
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 

@@ -8,9 +8,10 @@ import pytest
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             encode, neg, parse, var, variable_indices,
                             variables)
-from iplkit.kripke import (CountermodelSearchTooLarge, find_countermodel,
-                           forces, forces_all, make_model, model_from_json,
-                           model_to_json, validate_model)
+from iplkit.kripke import (_LABELED_PREORDERS, CountermodelSearchTooLarge,
+                           _preorders, find_countermodel, forces, forces_all,
+                           make_model, model_from_json, model_to_json,
+                           validate_model)
 from iplkit.proof import Premise, check, proof_to_json
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
@@ -29,11 +30,14 @@ class TestBudget:
         assert budget_from_env("") == Budget()
 
     def test_parse(self):
-        b = budget_from_env("worlds=3,depth=100")
-        assert b.max_worlds == 3 and b.max_depth == 100
+        assert budget_from_env(" depth = 100 ") == Budget(max_depth=100)
 
     def test_partial(self):
-        assert budget_from_env("worlds=2").max_worlds == 2
+        # the oracle no longer enumerates models, so there is no worlds
+        # entry, alone or next to depth
+        for text in ("worlds=2", "worlds=3,depth=100"):
+            with pytest.raises(ValueError):
+                budget_from_env(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -97,11 +101,13 @@ class TestOracle:
         assert forces_all(v.model, v.world, [p0])
 
     def test_unknown_when_budgets_tiny(self):
-        # Peirce needs two worlds to refute; with one world and no proof
-        # the only honest verdict is Unknown
-        tiny = Oracle(Budget(max_worlds=1))
+        # Peirce is classically valid, so only a finished proof search
+        # refutes it; at depth 1 the search cannot finish, and the only
+        # honest verdict is Unknown
+        tiny = Oracle(Budget(max_depth=1))
         v = tiny.provable(frozenset(), parse("((p0 -> p1) -> p0) -> p0"))
         assert isinstance(v, Unknown)
+        assert v.reason == "proof search depth budget exhausted (depth=1)"
 
     def test_cache_stable(self, oracle):
         a = oracle.provable(frozenset(), Implies(p0, p0))
@@ -126,8 +132,10 @@ def padded_lem(k):
 
 class TestCountermodelCap:
     # Before building the models of a world count, the search counts
-    # their candidate valuations and stops past a fixed cap, so a query
-    # over many variables ends at once instead of exhausting memory.
+    # their labeled preorders and candidate valuations and stops past a
+    # fixed cap, so a query over many variables or worlds ends at once
+    # instead of exhausting memory.  The oracle never meets the cap: it
+    # reads its countermodels off failed proof search.
     def test_search_stops_at_the_first_size_past_the_cap(self):
         valid = conj_fold([Implies(var(i), var(i)) for i in range(4)])
         with pytest.raises(CountermodelSearchTooLarge) as info:
@@ -137,13 +145,28 @@ class TestCountermodelCap:
             "countermodel search stopped at world count 4 of 4: 4 variables "
             "exceed MAX_COUNTERMODEL_VALUATIONS = ")
 
-    def test_padded_excluded_middle_is_unknown_fast(self):
-        start = time.perf_counter()
-        v = Oracle().provable([], padded_lem(18))
-        assert time.perf_counter() - start < 5.0
-        assert isinstance(v, Unknown)
-        assert "MAX_COUNTERMODEL_VALUATIONS" in v.reason
-        assert "world count 1 of 4" in v.reason
+    def test_search_stops_before_building_too_many_frames(self):
+        # 6 worlds have 209,527 labeled preorders, each tested against
+        # 720 relabelings, so the search stops before it builds them
+        assert [len(_preorders(n)) for n in range(1, 6)] == \
+            list(_LABELED_PREORDERS[:5])
+        with pytest.raises(CountermodelSearchTooLarge) as info:
+            find_countermodel([], Implies(p0, p0), 7)
+        assert str(info.value) == (
+            "countermodel search stopped at world count 6 of 7: its labeled "
+            "preorders exceed MAX_COUNTERMODEL_VALUATIONS = 20000")
+
+    def test_padded_excluded_middle_is_refuted_fast(self):
+        # 18 variables: past the truth-table scan, and 2^18 valuations on
+        # one world are past the cap of the model search
+        for k in (18, 40):
+            phi = padded_lem(k)
+            start = time.perf_counter()
+            v = Oracle().provable([], phi)
+            assert time.perf_counter() - start < 1.0
+            assert isinstance(v, Refuted)
+            assert validate_model(v.model) == []
+            assert not forces(v.model, v.world, phi)
 
     def test_schwicht_256_is_unknown_fast(self):
         body = p0
@@ -153,8 +176,8 @@ class TestCountermodelCap:
         v = Oracle().provable([], Implies(body, var(256)))
         assert time.perf_counter() - start < 5.0
         assert isinstance(v, Unknown)
-        assert v.reason.startswith("proof search depth budget exhausted and "
-                                   "countermodel search stopped")
+        # the depth budget is the only one the oracle has
+        assert v.reason == "proof search depth budget exhausted (depth=512)"
 
 
 class TestDeepFormulas:
@@ -210,14 +233,13 @@ class TestDeepFormulas:
     def test_inconclusive_pair_step_renders_formula(self):
         # the message embeds the added formula as rendered text, not as
         # the recursive dataclass repr
-        oracle = Oracle(Budget(max_worlds=1, max_depth=1))
+        oracle = Oracle(Budget(max_depth=1))
         pair = make_pair([], [Or(p0, neg(p0))])
         with pytest.raises(OracleInconclusive) as info:
             add_formula_to_pair(pair, Implies(p0, And(p0, p1)), oracle)
         assert str(info.value) == (
             "cannot settle consistency after adding p0 -> p0 & p1: proof "
-            "search depth budget exhausted and no countermodel within 1 "
-            "worlds")
+            "search depth budget exhausted (depth=1)")
 
     def test_oracle_proves_deep_identity(self):
         d = p0

@@ -14,6 +14,7 @@ import sys
 import time
 
 from reference_prover import ReferenceProver
+from test_countermodel_family import KREISEL_PUTNAM, bd
 
 import iplkit
 from iplkit.formula import BOT, And, Implies, Or, neg, render, var
@@ -65,6 +66,18 @@ def named_laws():
     yield [Implies(Implies(p0, p1), p2), Implies(p1, p0)], Implies(p1, p2)
     yield [BOT], Implies(p0, p1)
     yield [BOT], BOT
+
+
+def multi_world_refutations():
+    """(premises, goal) queries whose countermodels need two or more
+    worlds: Peirce, Dummett, weak excluded middle, Kreisel-Putnam and
+    the bounded-depth axioms bd_3..bd_5."""
+    yield [], Implies(Implies(Implies(p0, p1), p0), p0)
+    yield [], Or(Implies(p0, p1), Implies(p1, p0))
+    yield [], Or(neg(p0), neg(neg(p0)))
+    yield [], KREISEL_PUTNAM
+    for n in (3, 4, 5):
+        yield [], bd(n)
 
 
 def seeded_queries() -> list:
@@ -143,25 +156,30 @@ def test_unused_disjunct_is_not_split():
     assert Expansion not in kinds
 
 
-# Reads (premises, goal) texts from stdin and prints the proof JSON of
-# each query's witness from a fresh oracle, or null.
+# Reads (premises, goal) texts from stdin and prints, for each query, the
+# proof JSON of its witness from a fresh oracle, or the model JSON and
+# world of its countermodel.
 WITNESS_CHILD = """
 import json, sys
 from iplkit.formula import parse
+from iplkit.kripke import model_to_json
 from iplkit.proof import proof_to_json
 from iplkit.theories import Oracle, Provable
 out = []
 for gamma, phi in json.load(sys.stdin):
     v = Oracle().provable([parse(t) for t in gamma], parse(phi))
-    out.append(proof_to_json(v.witness) if isinstance(v, Provable) else None)
+    out.append(proof_to_json(v.witness) if isinstance(v, Provable)
+               else [model_to_json(v.model), v.world])
 print(json.dumps(out))
 """
 
 
 def test_witnesses_do_not_depend_on_hash_seed():
     # the prover orders each sequent's premises; that order, and so the
-    # witness, must be the same in every process
-    queries = [q for q in named_laws() if len(q[0]) >= 2] + seeded_queries()
+    # witness or the countermodel read off a failed search, must be the
+    # same in every process
+    queries = [q for q in named_laws() if len(q[0]) >= 2] + \
+        seeded_queries() + list(multi_world_refutations())
     text = json.dumps([([render(f) for f in gamma], render(phi))
                        for gamma, phi in queries])
     root = os.path.dirname(os.path.dirname(os.path.abspath(iplkit.__file__)))
@@ -174,4 +192,7 @@ def test_witnesses_do_not_depend_on_hash_seed():
                                env=env, check=True)
         outputs.append(child.stdout)
     assert outputs[0] == outputs[1]
-    assert sum(w is not None for w in json.loads(outputs[0])) >= 20
+    certificates = json.loads(outputs[0])
+    assert sum(isinstance(c, dict) for c in certificates) >= 20
+    assert sum(isinstance(c, list) and c[0]["worlds"] > 1
+               for c in certificates) >= len(list(multi_world_refutations()))

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import And, Formula, Implies, Or, encode, render
-from .kripke import forces
+from .formula import (And, Formula, Implies, Or, encode, render,
+                      variable_indices)
+from .kripke import forces, truth_mask
 from .theories import (Fails, FormulaUniverse, Holds, Oracle,
-                       OracleInconclusive, Provable, Refuted, Unknown)
+                       OracleInconclusive, Provable, Refuted, Unknown,
+                       _MAX_SCAN_VARS, _discrete, _truth_table)
 
 
 class OutOfUniverse(ValueError):
@@ -73,12 +75,18 @@ def build_quotient(gamma, universe: FormulaUniverse,
                    oracle: Oracle) -> QuotientTable:
     """Partition the universe by provable equivalence under gamma.
 
-    Every pairwise query must be definitive; Unknown aborts with
-    OracleInconclusive rather than guessing a class."""
+    Each formula is tested only against the classes of its classical
+    key, its truth mask over the assignments that satisfy gamma: formulas
+    with different keys are not even classically equivalent, and the
+    oracle's truth-table scan would refute them.  Every query made must
+    be definitive; Unknown aborts with OracleInconclusive rather than
+    guessing a class."""
     gamma = frozenset(gamma)
     classes: list = []
-    for phi in universe.items:
-        for members in classes:
+    by_key: dict = {}
+    for phi, key in zip(universe.items, _classical_keys(gamma, universe)):
+        candidates = by_key.setdefault(key, [])
+        for members in candidates:
             verdict = provably_equivalent(gamma, phi, members[0], oracle)
             if isinstance(verdict, Holds):
                 members.append(phi)
@@ -88,7 +96,8 @@ def build_quotient(gamma, universe: FormulaUniverse,
                     f"equivalence of {render(phi)} and {render(members[0])} "
                     "undecided")
         else:
-            classes.append([phi])
+            candidates.append([phi])
+            classes.append(candidates[-1])
     classes = [tuple(sorted(members, key=encode)) for members in classes]
     classes.sort(key=lambda members: encode(members[0]))
     reps = tuple(members[0] for members in classes)
@@ -99,6 +108,22 @@ def build_quotient(gamma, universe: FormulaUniverse,
             raise OracleInconclusive(f"provability of {render(rep)} undecided")
         tops.append(isinstance(verdict, Provable))
     return QuotientTable(gamma, universe, tuple(classes), reps, tuple(tops))
+
+
+def _classical_keys(gamma: frozenset, universe: FormulaUniverse) -> list:
+    """Each item's truth mask, cut to the assignments that satisfy gamma,
+    over the oracle's truth table; all None past the variables that the
+    oracle scans, so a query is skipped only where the scan refutes it."""
+    idx = tuple(variable_indices([*gamma, *universe.items]))
+    if len(idx) > _MAX_SCAN_VARS:
+        return [None] * len(universe.items)
+    atoms, full = _truth_table(idx)
+    memo: dict = {}
+    sat = full
+    for g in gamma:
+        sat &= truth_mask(g, atoms, full, _discrete, memo)
+    return [truth_mask(f, atoms, full, _discrete, memo) & sat
+            for f in universe.items]
 
 
 def class_of(table: QuotientTable, phi: Formula) -> int:

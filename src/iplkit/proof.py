@@ -3,7 +3,9 @@
 A proof term is an explicit derivation tree.  Axiom nodes carry the
 formulas that instantiate their schema, so checking is a total fold that
 either returns the conclusion or reports the offending node by its
-root-to-node child-index path.  On top of the thirteen primitive node
+root-to-node child-index path.  The fold checks each node once and keeps
+only its conclusion; the path is recovered by a second walk when a check
+fails.  On top of the thirteen primitive node
 kinds the module provides a catalog of derived rules (every entry builds
 a term the checker accepts) and the deduction theorem as a proof
 transformation.
@@ -147,7 +149,12 @@ NODE_KINDS = {cls: _kind(cls, rule, schema) for cls, rule, schema in (
 
 _BY_RULE = {kind.rule: cls for cls, kind in NODE_KINDS.items()}
 
-_NO_PREMISES: frozenset = frozenset()
+# A missing conclusion, told apart from any value a Premise can carry.
+_TODO = object()
+
+# axiom class -> (schema, formula getter), for the checker
+_AXIOMS = {cls: (kind.schema, kind.formula_values)
+           for cls, kind in NODE_KINDS.items() if kind.schema is not None}
 
 
 class ProofError(Exception):
@@ -181,94 +188,115 @@ def _children(node) -> tuple:
     return () if kind is None else kind.children(node)
 
 
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, reusing an operand that already holds the other."""
-    return a if b <= a else b if a <= b else a | b
+def _conclusions(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
+    """Post-order fold giving id(node) -> conclusion, one entry per node.
+
+    A node stays on the stack until its subproofs are done and pushes
+    only the missing ones, the last on top, so it is checked first; a
+    node pushed twice before it was done is recomputed from its done
+    subproofs, so DAG-shaped proofs stay linear.  The ids are valid while
+    proof lives.  With gamma=None, premise membership is not enforced
+    (pure shape inference).  No paths are kept: on a failure, _path_to
+    finds the failing node's."""
+    out: dict = {}
+    get, todo = out.get, _TODO
+    stack = [proof]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = stack[-1]
+        t = type(node)
+        if t is Syllogism:
+            first = get(id(node.first), todo)
+            second = get(id(node.second), todo)
+            if first is todo or second is todo:
+                if first is todo:
+                    push(node.first)
+                if second is todo:
+                    push(node.second)
+                continue
+            if not (isinstance(first, Implies) and isinstance(second, Implies)
+                    and first.rhs is second.lhs):
+                raise _mismatch(proof, node, (first, second))
+            concl = Implies(first.lhs, second.rhs)
+        elif t is Exportation or t is Importation or t is Expansion:
+            sub = get(id(node.sub), todo)
+            if sub is todo:
+                push(node.sub)
+                continue
+            if t is Exportation:
+                if not (isinstance(sub, Implies) and isinstance(sub.lhs, And)):
+                    raise _mismatch(proof, node, (sub,))
+                concl = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
+            elif t is Importation:
+                if not (isinstance(sub, Implies)
+                        and isinstance(sub.rhs, Implies)):
+                    raise _mismatch(proof, node, (sub,))
+                concl = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
+            else:
+                if not isinstance(sub, Implies):
+                    raise _mismatch(proof, node, (sub,))
+                concl = Implies(Or(node.disjunct, sub.lhs),
+                                Or(node.disjunct, sub.rhs))
+        elif t is ModusPonens:
+            minor = get(id(node.minor), todo)
+            major = get(id(node.major), todo)
+            if minor is todo or major is todo:
+                if minor is todo:
+                    push(node.minor)
+                if major is todo:
+                    push(node.major)
+                continue
+            if not (isinstance(major, Implies) and major.lhs is minor):
+                raise _mismatch(proof, node, (minor, major))
+            concl = major.rhs
+        elif t is Premise:
+            concl = node.formula
+            if gamma is not None and concl not in gamma:
+                raise PremiseNotInContext(concl, _path_to(proof, node))
+        else:
+            axiom = _AXIOMS.get(t)
+            if axiom is None:
+                raise ProofError(f"unknown node {t.__name__}",
+                                 _path_to(proof, node))
+            concl = axiom[0](*axiom[1](node))
+        out[id(node)] = concl
+        pop()
+    return out
 
 
-def _path(link) -> tuple:
-    """Root-to-node child indices from a (parent link, index) chain."""
-    out = []
+def _mismatch(proof: ProofTerm, node, found: tuple) -> RuleShapeMismatch:
+    return RuleShapeMismatch(NODE_KINDS[type(node)].rule, found,
+                            _path_to(proof, node))
+
+
+def _path_to(proof: ProofTerm, target) -> tuple:
+    """Root-to-node child indices of target where _conclusions first
+    reaches it.  The walk pushes as the fold does, every child with a
+    (parent link, index) pair and the last on top, and expands each node
+    once, so it meets the nodes in the fold's order; it checks nothing."""
+    seen: set = set()
+    node, link, stack = proof, None, []
+    while node is not target:
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [(child, (link, i))
+                      for i, child in enumerate(_children(node))]
+        node, link = stack.pop()
+    path = []
     while link is not None:
         link, i = link
-        out.append(i)
-    return tuple(reversed(out))
-
-
-def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
-    """Post-order fold giving id(node) -> (node, conclusion, free premises).
-
-    Shared subterms are checked once, so DAG-shaped proofs stay linear.
-    Each entry holds its node, so no id is reused while the table lives.
-    With gamma=None, premise membership is not enforced (pure shape
-    inference).
-    """
-    out: dict = {}
-    stack = [(proof, None, None)]
-    while stack:
-        node, link, kids = stack.pop()
-        if id(node) in out:
-            continue
-        if kids is None:
-            kids = _children(node)
-            stack.append((node, link, kids))
-            for i, child in enumerate(kids):
-                stack.append((child, (link, i), None))
-            continue
-        kind = NODE_KINDS.get(type(node))
-        if kind is None:
-            raise ProofError(f"unknown node {type(node).__name__}",
-                             _path(link))
-        if kind.schema is not None:
-            concl = kind.schema(*kind.formula_values(node))
-            free = _NO_PREMISES
-        elif type(node) is Premise:
-            if gamma is not None and node.formula not in gamma:
-                raise PremiseNotInContext(node.formula, _path(link))
-            concl, free = node.formula, frozenset((node.formula,))
-        elif type(node) is ModusPonens:
-            _, minor, f1 = out[id(node.minor)]
-            _, major, f2 = out[id(node.major)]
-            if not (isinstance(major, Implies) and major.lhs == minor):
-                raise RuleShapeMismatch(kind.rule, (minor, major), _path(link))
-            concl, free = major.rhs, _union(f1, f2)
-        elif type(node) is Syllogism:
-            _, first, f1 = out[id(node.first)]
-            _, second, f2 = out[id(node.second)]
-            if not (isinstance(first, Implies) and isinstance(second, Implies)
-                    and first.rhs == second.lhs):
-                raise RuleShapeMismatch(kind.rule, (first, second),
-                                        _path(link))
-            concl, free = Implies(first.lhs, second.rhs), _union(f1, f2)
-        elif type(node) is Exportation:
-            _, sub, free = out[id(node.sub)]
-            if not (isinstance(sub, Implies) and isinstance(sub.lhs, And)):
-                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
-            concl = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
-        elif type(node) is Importation:
-            _, sub, free = out[id(node.sub)]
-            if not (isinstance(sub, Implies) and isinstance(sub.rhs, Implies)):
-                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
-            concl = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
-        else:  # Expansion
-            _, sub, free = out[id(node.sub)]
-            if not isinstance(sub, Implies):
-                raise RuleShapeMismatch(kind.rule, (sub,), _path(link))
-            concl = Implies(Or(node.disjunct, sub.lhs),
-                            Or(node.disjunct, sub.rhs))
-        out[id(node)] = (node, concl, free)
-    return out
+        path.append(i)
+    return tuple(reversed(path))
 
 
 def check(gamma, proof: ProofTerm) -> Formula:
     """Conclusion of proof relative to the premise set gamma."""
-    gamma = frozenset(gamma)
-    return _conclusion_map(proof, gamma)[id(proof)][1]
+    return _conclusions(proof, frozenset(gamma))[id(proof)]
 
 
 def infer_conclusion(proof: ProofTerm) -> Formula:
     """Conclusion shape of proof, ignoring premise membership."""
-    return _conclusion_map(proof, None)[id(proof)][1]
+    return _conclusions(proof, None)[id(proof)]
 
 
 def weaken(gamma, gamma_prime, proof: ProofTerm) -> ProofTerm:
@@ -606,60 +634,64 @@ def derived(name: str, *args) -> ProofTerm:
 def deduction_theorem(gamma, phi: Formula, proof: ProofTerm) -> ProofTerm:
     """Transform a proof of gamma, phi |- psi into one of gamma |- phi -> psi."""
     gamma = frozenset(gamma)
-    return _deduce(phi, proof, _conclusion_map(proof, gamma | {phi}))
+    return _deduce(phi, proof, _conclusions(proof, gamma | {phi}))
 
 
 def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
-    """Core of the deduction theorem; table is the _conclusion_map of
-    proof, whose shapes are taken as good.
+    """Core of the deduction theorem; table is the _conclusions of proof,
+    whose shapes are taken as good.
 
-    Subtrees that never mention the discharged premise are kept intact
-    and prefixed with a K-style wrapper, so only the spine touching
-    Premise(phi) is rebuilt, and only that spine is walked.
+    One post-order walk finds the spine, the nodes with Premise(phi) at
+    or below them, and rebuilds it.  Subtrees off the spine are kept
+    intact and prefixed with a K-style wrapper where the spine uses them.
     """
-    def spine(node) -> tuple:
-        return _children(node) if phi in table[id(node)][2] else ()
-
+    on_spine: set = set()
     memo: dict = {}
-    for node in postorder([proof], spine):
-        _, concl, free = table[id(node)]
-        if phi not in free:
-            memo[id(node)] = ModusPonens(node, k_axiom(concl, phi))
+
+    def lifted(node) -> ProofTerm:
+        if id(node) not in memo:
+            memo[id(node)] = ModusPonens(node, k_axiom(table[id(node)], phi))
+        return memo[id(node)]
+
+    for node in postorder([proof], _children):
+        if not (node.formula == phi if type(node) is Premise
+                else any(id(k) in on_spine for k in _children(node))):
             continue
+        on_spine.add(id(node))
         if isinstance(node, Premise):
-            # phi is free here, so this is the discharged premise itself
+            # on the spine, so this is the discharged premise itself
             out = identity(phi)
         elif isinstance(node, ModusPonens):
-            major = table[id(node.major)][1]
+            major = table[id(node.major)]
             out = _s_rule(phi, major.lhs, major.rhs,
-                          memo[id(node.minor)], memo[id(node.major)])
+                          lifted(node.minor), lifted(node.major))
         elif isinstance(node, Syllogism):
-            c1 = table[id(node.first)][1]
-            c2 = table[id(node.second)][1]
+            c1 = table[id(node.first)]
+            c2 = table[id(node.second)]
             alpha, beta, gam = c1.lhs, c1.rhs, c2.rhs
-            imp1 = Importation(memo[id(node.first)])
-            imp2 = Importation(memo[id(node.second)])
+            imp1 = Importation(lifted(node.first))
+            imp2 = Importation(lifted(node.second))
             mono = _conj_monotone(phi, And(phi, alpha), beta, imp1)
             dup = _and_compose(And(phi, alpha), phi, And(phi, alpha),
                                WeakeningConj(phi, alpha),
                                identity(And(phi, alpha)))
             out = Exportation(Syllogism(dup, Syllogism(mono, imp2)))
         elif isinstance(node, Exportation):
-            c = table[id(node.sub)][1]
+            c = table[id(node.sub)]
             alpha, beta = c.lhs.lhs, c.lhs.rhs
             core = Syllogism(and_assoc_left(phi, alpha, beta),
-                             Importation(memo[id(node.sub)]))
+                             Importation(lifted(node.sub)))
             out = Exportation(Exportation(core))
         elif isinstance(node, Importation):
-            c = table[id(node.sub)][1]
+            c = table[id(node.sub)]
             alpha, beta = c.lhs, c.rhs.lhs
             core = Syllogism(and_assoc_right(phi, alpha, beta),
-                             Importation(Importation(memo[id(node.sub)])))
+                             Importation(Importation(lifted(node.sub))))
             out = Exportation(core)
         else:
-            c = table[id(node.sub)][1]
+            c = table[id(node.sub)]
             alpha, beta, chi = c.lhs, c.rhs, node.disjunct
-            imp = Importation(memo[id(node.sub)])
+            imp = Importation(lifted(node.sub))
             v1 = Syllogism(and_elim_right(phi, chi), WeakeningDisj(chi, beta))
             v2 = Syllogism(imp, or_intro_right(chi, beta))
             core = Syllogism(distrib_and_or(phi, chi, alpha),
@@ -667,4 +699,4 @@ def _deduce(phi: Formula, proof: ProofTerm, table: dict) -> ProofTerm:
                                       Or(chi, beta), v1, v2))
             out = Exportation(core)
         memo[id(node)] = out
-    return memo[id(proof)]
+    return lifted(proof)

@@ -24,6 +24,9 @@ from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
 # Subset pairs that pair_consistent tries before the whole pair.
 MAX_SUBSET_PAIRS = 20000
 
+# The most variables the classical truth-table scan covers (2^16 worlds).
+_MAX_SCAN_VARS = 16
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -139,7 +142,7 @@ class Oracle:
                                 phi: Formula) -> Optional[KripkeModel]:
         idx = tuple(variable_indices([*gamma, phi]))
         k = len(idx)
-        if k > 16:
+        if k > _MAX_SCAN_VARS:
             return None
         scan = self._scan
         if scan is None or scan[0] != idx:

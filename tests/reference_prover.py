@@ -16,7 +16,7 @@ from iplkit.formula import (And, BOT, Bottom, Formula, Implies, Or, Variable,
                             order_key)
 from iplkit.proof import (Exfalso, Exportation, ModusPonens, Premise,
                           ProofTerm, Syllogism, WeakeningConj, WeakeningDisj,
-                          _and_intro, _conclusion_map, _deduce, _or_elim,
+                          _and_intro, _conclusions, _deduce, _or_elim,
                           and_elim_right, k_axiom, or_intro_right,
                           subst_premise)
 from iplkit.prover import DEFAULT_MAX_DEPTH, SearchBudgetExceeded
@@ -46,7 +46,7 @@ class ReferenceProver:
         return out
 
     def _deduction(self, phi: Formula, proof: ProofTerm) -> ProofTerm:
-        return _deduce(phi, proof, _conclusion_map(proof, None))
+        return _deduce(phi, proof, _conclusions(proof, None))
 
     def _subst(self, proof: ProofTerm, target: Formula,
                replacement: ProofTerm) -> ProofTerm:

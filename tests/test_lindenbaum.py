@@ -7,7 +7,7 @@ from iplkit.lindenbaum import (OutOfUniverse, build_quotient, class_of,
                                quotient_ops_well_defined,
                                truth_matches_provability)
 from iplkit.proof import check
-from iplkit.theories import (Fails, Holds, canonical_universe,
+from iplkit.theories import (Fails, Holds, Oracle, canonical_universe,
                              make_universe)
 
 p0, p1 = var(0), var(1)
@@ -104,6 +104,48 @@ class TestQuotient:
         table = build_quotient([], canonical_universe(0, 2), oracle)
         for members, rep in zip(table.classes, table.representatives):
             assert rep == min(members, key=encode)
+
+    @pytest.mark.parametrize("gamma", [[], [p0], [Or(p0, p1)]])
+    def test_classical_keys_keep_the_pairwise_classes(self, gamma):
+        # each formula meets only the classes of its truth mask under
+        # gamma, one query per item here, and the classes stay the same
+        universe = canonical_universe(3, 1)
+        oracle = CountingOracle()
+        table = build_quotient(gamma, universe, oracle)
+        assert oracle.calls == len(universe.items) == 52
+        assert table.classes == pairwise_classes(gamma, universe, Oracle())
+
+    def test_past_sixteen_variables_every_class_is_tried(self):
+        universe = make_universe([var(i) for i in range(17)] + [And(p0, p0)])
+        oracle = CountingOracle()
+        table = build_quotient([], universe, oracle)
+        assert table.classes == pairwise_classes([], universe, Oracle())
+        assert oracle.calls == 17 * 16 // 2 + 1 + 17
+
+
+class CountingOracle(Oracle):
+    calls = 0
+
+    def provable(self, gamma, phi):
+        self.calls += 1
+        return super().provable(gamma, phi)
+
+
+def pairwise_classes(gamma, universe, oracle) -> tuple:
+    """build_quotient's classes from testing each formula against every
+    class so far."""
+    classes = []
+    for phi in universe.items:
+        for members in classes:
+            if isinstance(provably_equivalent(gamma, phi, members[0], oracle),
+                          Holds):
+                members.append(phi)
+                break
+        else:
+            classes.append([phi])
+    return tuple(sorted((tuple(sorted(members, key=encode))
+                         for members in classes),
+                        key=lambda members: encode(members[0])))
 
 
 class TestClassOf:

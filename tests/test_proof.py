@@ -381,3 +381,23 @@ class TestInfer:
     def test_matches_check_when_premises_allowed(self):
         term = and_intro(Premise(p0), Premise(p1))
         assert infer_conclusion(term) == check([p0, p1], term)
+
+
+class TestDeepProofs:
+    def test_3000_deep_syllogism_chain(self):
+        # the kernel, the path it reports on failure and the deduction
+        # theorem all walk explicit stacks
+        a = Implies(p0, p0)
+        term = Premise(a)
+        for _ in range(3000):
+            term = Syllogism(term, Premise(a))
+        assert check([a], term) == a
+        assert infer_conclusion(term) == a
+        q = deduction_theorem([], a, term)
+        assert check([], q) == Implies(a, a)
+        bad = Premise(p1)
+        for _ in range(3000):
+            bad = Syllogism(bad, Premise(a))
+        with pytest.raises(PremiseNotInContext) as err:
+            check([a], bad)
+        assert err.value.path == (0,) * 3000

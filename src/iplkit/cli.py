@@ -12,22 +12,44 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .bridge import closed_set_algebra, prime_filter_frame, validity_harness
-from .catalog import standard_algebras
 from .formula import (ParseError, decode, encode, parse, render,
                       variable_indices)
-from .heyting import (algebra_from_json, algebra_to_json,
-                      consequence_over_algebras, interpret,
-                      make_interpretation, prime_filters, super_prime_filter)
-from .kripke import (CountermodelSearchTooLarge, _models,
-                     consequence_over_models, find_countermodel, forces,
-                     model_from_json, model_to_json)
-from .lindenbaum import build_quotient, provably_leq
-from .proof import ProofError, check, proof_from_json
-from .theories import (Fails, Holds, Oracle, OracleInconclusive,
-                       budget_from_env, canonical_universe, make_pair,
-                       saturation_trace)
+
+# The library names the handlers use, by home module.  A handler imports
+# a module with _need on first use, which binds its names here unless
+# already bound, so a wrapper set on this module is the function that runs.
+_LIBRARY = {
+    "bridge": "closed_set_algebra prime_filter_frame validity_harness",
+    "catalog": "standard_algebras",
+    "heyting": """algebra_from_json algebra_to_json consequence_over_algebras
+        interpret make_interpretation prime_filters super_prime_filter""",
+    "kripke": """CountermodelSearchTooLarge _models consequence_over_models
+        find_countermodel forces model_from_json model_to_json""",
+    "lindenbaum": "build_quotient provably_leq",
+    "proof": "ProofError check proof_from_json",
+    "theories": """Fails Holds Oracle OracleInconclusive budget_from_env
+        canonical_universe make_pair saturation_trace""",
+}
+_HOME = {name: module for module, names in _LIBRARY.items()
+         for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(_HOME[name])
+    return globals()[name]
+
+
+def _need(*modules) -> None:
+    """Import the modules and bind the names this module uses of them."""
+    for module in modules:
+        library = import_module(f".{module}", __package__)
+        for name in _LIBRARY[module].split():
+            globals().setdefault(name, getattr(library, name))
+
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -94,7 +116,8 @@ def _parse_assignment(text):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit code, payload).
+# Subcommand handlers: each returns (exit code, payload).  A handler first
+# imports, with _need, the library modules that it and its helpers use.
 # ---------------------------------------------------------------------------
 
 
@@ -116,6 +139,7 @@ def _cmd_decode(args):
 
 
 def _cmd_check_proof(args):
+    _need("proof")
     proof_obj = _load_json(args.proof)
     try:
         proof = proof_from_json(proof_obj)
@@ -137,6 +161,7 @@ def _cmd_check_proof(args):
 
 
 def _cmd_eval(args):
+    _need("kripke")
     model = _load_model(args.model)
     phi = _parse_formula(args.formula)
     value = forces(model, args.world, phi)
@@ -145,6 +170,7 @@ def _cmd_eval(args):
 
 
 def _cmd_valid(args):
+    _need("kripke")
     model = _load_model(args.model)
     phi = _parse_formula(args.formula)
     verdict = consequence_over_models([model], [], phi)
@@ -154,6 +180,7 @@ def _cmd_valid(args):
 
 
 def _cmd_countermodel(args):
+    _need("kripke")
     gamma = _parse_gamma(args.gamma)
     phi = _parse_formula(args.formula)
     unknown = {"model": None, "world": None, "max_worlds": args.max_worlds}
@@ -169,6 +196,7 @@ def _cmd_countermodel(args):
 
 
 def _cmd_alg_eval(args):
+    _need("heyting")
     alg = _load_algebra(args.algebra)
     phi = _parse_formula(args.formula)
     try:
@@ -182,6 +210,7 @@ def _cmd_alg_eval(args):
 
 
 def _cmd_alg_valid(args):
+    _need("heyting")
     alg = _load_algebra(args.algebra)
     phi = _parse_formula(args.formula)
     verdict = consequence_over_algebras([alg], [], phi)
@@ -192,17 +221,20 @@ def _cmd_alg_valid(args):
 
 
 def _cmd_filters(args):
+    _need("heyting")
     alg = _load_algebra(args.algebra)
     return EXIT_POSITIVE, {"filters": [sorted(f) for f in alg.filters]}
 
 
 def _cmd_prime_filters(args):
+    _need("heyting")
     alg = _load_algebra(args.algebra)
     return EXIT_POSITIVE, {
         "prime_filters": [sorted(f) for f in prime_filters(alg)]}
 
 
 def _cmd_super_prime(args):
+    _need("heyting")
     alg = _load_algebra(args.algebra)
     try:
         base = frozenset(int(x) for x in args.filter.split(",") if x.strip())
@@ -216,6 +248,7 @@ def _cmd_super_prime(args):
 
 
 def _cmd_bridge_k2a(args):
+    _need("kripke", "heyting", "bridge")
     model = _load_model(args.model)
     csa = closed_set_algebra(model)
     return EXIT_POSITIVE, {
@@ -225,6 +258,7 @@ def _cmd_bridge_k2a(args):
 
 
 def _cmd_bridge_a2k(args):
+    _need("kripke", "heyting", "bridge")
     alg = _load_algebra(args.algebra)
     try:
         interp = make_interpretation(alg, _parse_assignment(args.assign))
@@ -238,6 +272,7 @@ def _cmd_bridge_a2k(args):
 
 
 def _cmd_saturate_pair(args):
+    _need("theories")
     oracle = Oracle(budget_from_env())
     universe = canonical_universe(args.vars, args.depth)
     pair = make_pair(_parse_gamma(args.left), _parse_gamma(args.right))
@@ -260,6 +295,7 @@ def _cmd_saturate_pair(args):
 
 
 def _cmd_quotient(args):
+    _need("theories", "lindenbaum")
     oracle = Oracle(budget_from_env())
     universe = canonical_universe(args.vars, args.depth)
     gamma = _parse_gamma(args.gamma)
@@ -285,6 +321,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_universe(args):
+    _need("theories")
     universe = canonical_universe(args.vars, args.depth)
     return EXIT_POSITIVE, {
         "items": [render(f) for f in universe.items],
@@ -293,6 +330,7 @@ def _cmd_universe(args):
 
 
 def _cmd_harness(args):
+    _need("kripke", "heyting", "catalog", "bridge")
     formulas = [_parse_formula(text) for text in args.formula]
     if args.model:
         models = [_load_model(path) for path in args.model]

@@ -25,6 +25,12 @@ from .formula import And, Bottom, Formula, Or, Variable, variable_indices
 # 157,886 for four variables on four worlds.
 MAX_COUNTERMODEL_VALUATIONS = 20_000
 
+# The most worlds and variables model_from_json accepts.  The closure it
+# takes may hold every pair of worlds, and the valuation one entry per
+# variable; at these caps they stay near a million pairs and 65,536 sets.
+MAX_JSON_WORLDS = 1 << 10
+MAX_JSON_VARS = 1 << 16
+
 # Labeled preorders on 1, 2, ... worlds: _canonical_preorders builds each
 # and tests it against every relabeling before a world count is searched.
 _LABELED_PREORDERS = (1, 4, 29, 355, 6942, 209_527)
@@ -434,12 +440,12 @@ def model_to_json(model: KripkeModel) -> dict:
 
 def _closure(pairs: list, worlds: int) -> set:
     """The transitive closure of the pairs with (w, w) added for each
-    world w < worlds, by Warshall over per-world successor bitmasks.
-    Worlds out of range stay in, so that make_model names them."""
-    ends = (w for pair in pairs for w in pair)
-    nodes = list(dict.fromkeys([*range(worlds), *ends]))
+    world w < worlds, by Warshall over successor bitmasks of the worlds
+    that the pairs name.  Worlds out of range stay in, so that make_model
+    names them."""
+    nodes = list(dict.fromkeys(w for pair in pairs for w in pair))
     bit = {w: k for k, w in enumerate(nodes)}
-    succ = [1 << k if k < worlds else 0 for k in range(len(nodes))]
+    succ = [0] * len(nodes)
     for i, j in pairs:
         succ[bit[i]] |= 1 << bit[j]
     for k in range(len(nodes)):
@@ -447,8 +453,9 @@ def _closure(pairs: list, worlds: int) -> set:
         for i, row in enumerate(succ):
             if row & mask:
                 succ[i] = row | through
-    return {(nodes[i], nodes[j]) for i, row in enumerate(succ)
-            for j in range(len(nodes)) if row >> j & 1}
+    return {(w, w) for w in range(worlds)} | {
+        (nodes[i], nodes[j]) for i, row in enumerate(succ)
+        for j in range(len(nodes)) if row >> j & 1}
 
 
 def _ints(value, what: str) -> list:
@@ -471,6 +478,9 @@ def model_from_json(obj) -> KripkeModel:
     if type(worlds) is not int or type(num_vars) is not int:
         raise ValueError("malformed model JSON: worlds and vars must be "
                          "integers")
+    if worlds > MAX_JSON_WORLDS or num_vars > MAX_JSON_VARS:
+        raise ValueError(f"model JSON too large: at most {MAX_JSON_WORLDS} "
+                         f"worlds and {MAX_JSON_VARS} vars")
     rel = obj.get("rel", [])
     val = obj.get("val", {})
     if not isinstance(rel, list) or not isinstance(val, dict):

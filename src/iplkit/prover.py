@@ -44,8 +44,8 @@ class SearchBudgetExceeded(Exception):
 
 
 class Prover:
-    """Reusable decision procedure; derivations are memoized per
-    (premises, goal) sequent across queries, and each proved query gets
+    """Decision procedure; derivations are memoized per (premises, goal)
+    sequent across the queries of one prover, and each proved query gets
     one witness replayed from them."""
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):

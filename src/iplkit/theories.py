@@ -82,10 +82,10 @@ class Oracle:
     Strategy: a classical truth-table scan first (a refuting assignment
     is a one-world countermodel), then backward proof search, which
     decides every query within its depth budget.  Classical logic extends
-    this one, so a classical refutation is always sound here.  The
-    prover's memo of derivations lives as long as the oracle; a proved
-    query's witness is replayed from it once and checked by the kernel
-    against gamma, and a failed search yields a countermodel.
+    this one, so a classical refutation is always sound here.  Each query
+    gets a fresh prover, whose memo of derivations lives as long as the
+    query: a proved query's witness is replayed from it once and checked
+    by the kernel against gamma, and a failed search yields a countermodel.
 
     The oracle also keeps the truth-table scan of its latest variable set,
     (idx, atoms, full, memo), so consecutive queries over one set evaluate
@@ -96,7 +96,6 @@ class Oracle:
 
     def __init__(self, budget: Optional[Budget] = None):
         self.budget = budget or Budget()
-        self._prover = Prover(self.budget.max_depth)
         self._cache: dict = {}
         self._scan: Optional[tuple] = None
         self._models: dict = {}
@@ -114,14 +113,15 @@ class Oracle:
         refutation = self._classical_countermodel(gamma, phi)
         if refutation is not None:
             return self._certify_refuted(gamma, phi, refutation, 0)
+        prover = Prover(self.budget.max_depth)
         try:
-            proof = self._prover.prove(gamma, phi)
+            proof = prover.prove(gamma, phi)
         except SearchBudgetExceeded:
             return Unknown("proof search depth budget exhausted "
                            f"(depth={self.budget.max_depth})")
         if proof is None:
             return self._certify_refuted(
-                gamma, phi, *self._prover.countermodel(gamma, phi))
+                gamma, phi, *prover.countermodel(gamma, phi))
         conclusion = check(gamma, proof)
         if conclusion != phi:
             raise RuntimeError("prover returned a witness for the wrong "
@@ -134,7 +134,7 @@ class Oracle:
         if self._classical_countermodel(gamma, phi) is not None:
             return None
         try:
-            return self._prover.prove(gamma, phi)
+            return Prover(self.budget.max_depth).prove(gamma, phi)
         except SearchBudgetExceeded:
             return None
 

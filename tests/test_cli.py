@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -121,6 +122,12 @@ class TestMalformedInput:
         ("alg-valid", {"size": 1, "le": [[True]], "meet": [[0]],
                        "join": [[0]], "bot": False, "top": 0}, ["p0"]),
         ("alg-valid", {"size": 1, "le": [[True]], "top": 0.0}, ["p0"]),
+        # past the size caps, beyond which the closure or the valuation
+        # of a 60-byte file could exhaust memory
+        ("valid", {"worlds": 1_000_000, "rel": [], "vars": 1, "val": {}},
+         ["p0"]),
+        ("valid", {"worlds": 1, "rel": [], "vars": 100_000_000, "val": {}},
+         ["p0"]),
     ])
     def test_exit_2(self, capsys, tmp_path, command, doc, rest):
         path = tmp_path / "input.json"
@@ -388,3 +395,141 @@ class TestLargeInputs:
         assert code == 2
         assert out == ""
         assert err.strip() == "input is nested too deeply to process"
+
+
+# Every name that iplkit/__init__.py imported from its modules before the
+# package imported lazily, by home module.
+PUBLIC_NAMES = {
+    "formula": """And BOT Bottom Formula Implies Or TOP Var Variable
+        all_formulas decode depth encode iff neg order_key pairing parse
+        render subformulas unpairing var variable_indices variables""",
+    "proof": """CATALOG ProofTerm check deduction_theorem derived
+        infer_conclusion proof_from_json proof_to_json weaken""",
+    "kripke": """CountermodelSearchTooLarge KripkeModel
+        consequence_over_models enumerate_models find_countermodel
+        first_refutation forces forces_all forcing_is_monotone make_model
+        model_from_json model_to_json truth_mask valid_in_model
+        validate_model""",
+    "heyting": """FiniteHeytingAlgebra Interpretation algebra_from_json
+        algebra_from_le algebra_to_json chain consequence_over_algebras
+        generated_filter himp_from_order himp_not_mem_check interpret
+        is_filter is_prime_filter is_proper_filter join_bound_witness
+        make_algebra make_interpretation meet_bound_witness
+        prime_filter_avoiding prime_filters prime_intersection
+        product_algebra super_prime_filter true_in_algebra valid_in_algebra
+        validate_algebra""",
+    "theories": """Budget Fails FormulaPair FormulaUniverse Holds Oracle
+        OracleInconclusive Provable Refuted Unknown add_formula_to_pair
+        budget_from_env canonical_universe conj_fold disj_fold
+        family_increasing_check is_consistent is_ded_closed is_disjunctive
+        make_pair make_universe pair_consistent saturate_pair
+        saturation_trace""",
+    "lindenbaum": """OutOfUniverse QuotientTable build_quotient class_of
+        provably_equivalent provably_leq quotient_ops_well_defined
+        truth_matches_provability""",
+    "bridge": """ClosedSetAlgebra HarnessReport algebra_model_agreement
+        algebras_isomorphic closed_set_algebra closed_sets
+        model_algebra_agreement models_isomorphic prime_filter_frame
+        truth_set validity_harness""",
+    "catalog": "chain_model fork_model identity_model standard_algebras",
+}
+# The eager imports also bound each module, and theories' import of the
+# prover bound that one, so a star import brought the modules in too.
+SUBMODULES = [*PUBLIC_NAMES, "prover"]
+
+# Runs iplkit.cli.main on the arguments with its output discarded, then
+# prints the iplkit modules the process has loaded.
+DIET_CHILD = """
+import contextlib, io, json, sys
+import iplkit.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        iplkit.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("iplkit"))))
+"""
+
+
+def loaded_modules(*argv) -> set:
+    out = subprocess.run([sys.executable, "-c", DIET_CHILD, *argv],
+                         capture_output=True, text=True, env=child_env(),
+                         check=True)
+    return {m.removeprefix("iplkit.") for m in json.loads(out.stdout)}
+
+
+class TestLazyImports:
+    def test_importing_the_cli_loads_only_formula(self):
+        assert loaded_modules() == {"iplkit", "cli", "formula"}
+
+    def test_parse_leaves_the_library_unloaded(self):
+        left_out = {"proof", "prover", "theories", "kripke", "heyting",
+                    "bridge", "lindenbaum", "catalog"}
+        assert not loaded_modules("parse", "p0") & left_out
+
+    def test_check_proof_loads_only_the_kernel(self, tmp_path):
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(proof_to_json(
+            WeakeningConj(var(0), var(1)))))
+        loaded = loaded_modules("check-proof", str(path))
+        assert "proof" in loaded
+        assert not loaded & {"theories", "prover", "heyting", "bridge"}
+
+    @pytest.mark.parametrize("module", PUBLIC_NAMES)
+    def test_public_names_are_their_modules_objects(self, module):
+        home = importlib.import_module(f"iplkit.{module}")
+        for name in PUBLIC_NAMES[module].split():
+            assert getattr(iplkit, name) is getattr(home, name), name
+
+    def test_all_dir_and_star_import_list_the_same_names(self):
+        names = {n for text in PUBLIC_NAMES.values() for n in text.split()}
+        public = names | set(SUBMODULES)
+        assert sorted(iplkit.__all__) == sorted(public)
+        assert public <= set(dir(iplkit))
+        assert {"__version__", "__doc__"} <= set(dir(iplkit))
+        namespace = {}
+        exec("from iplkit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == public
+        for module in SUBMODULES:
+            assert namespace[module] is \
+                importlib.import_module(f"iplkit.{module}")
+
+    def test_unknown_names_raise_attribute_error(self):
+        for owner in (iplkit, iplkit.cli):
+            with pytest.raises(AttributeError):
+                owner.no_such_name
+
+
+class TestTracedBindings:
+    """A wrapper set on iplkit.cli, as the benchmark's tracer sets one, is
+    the function that the subcommand runs."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("parse", ["parse", "p0"]),
+        ("encode", ["encode", "p0"]),
+        ("check", ["check-proof", "{proof}"]),
+        ("find_countermodel", ["countermodel", "p0 | ~p0",
+                               "--max-worlds", "2"]),
+        ("build_quotient", ["quotient", "--vars", "1", "--depth", "0"]),
+        ("prime_filters", ["prime-filters", "{algebra}"]),
+        ("super_prime_filter", ["super-prime", "{algebra}", "--filter", "2",
+                                "--avoid", "1"]),
+        ("closed_set_algebra", ["bridge", "k2a", "{model}"]),
+        ("validity_harness", ["harness", "--formula", "p0 -> p0"]),
+    ])
+    def test_wrapper_runs(self, monkeypatch, capsys, tmp_path, c3_file,
+                          chain2_file, name, argv):
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(proof_to_json(
+            WeakeningConj(var(0), var(1)))))
+        files = {"proof": str(proof), "algebra": c3_file,
+                 "model": chain2_file}
+        calls = []
+        real = getattr(iplkit.cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(iplkit.cli, name, counting)
+        code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code in (0, 1), err
+        assert calls

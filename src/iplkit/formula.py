@@ -179,6 +179,14 @@ def variables(phi: Formula) -> frozenset:
     return frozenset(map(Var, variable_indices([phi])))
 
 
+def _ones(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def variable_indices(formulas) -> list:
     """Sorted indices of the variables occurring in any of the formulas,
     read from the nodes' variable masks without a walk."""

@@ -2,21 +2,28 @@
 
 Algebras are dense tables: an order relation plus meet, join and
 relative pseudocomplement (himp) operation tables over elements
-0..size-1.  Filter machinery includes generated filters (computed two
-ways and cross-checked), prime filter enumeration and the finite
-replacement of the Zorn argument for extending a filter to a prime
-filter avoiding a point.
+0..size-1.  Completion and validation run on bitmasks of the elements
+below and above each element, and one evaluator computes a formula
+under a block of assignments at a time.  Filter machinery includes
+generated filters (computed two ways and cross-checked), prime filter
+enumeration and the finite replacement of the Zorn argument for
+extending a filter to a prime filter avoiding a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from functools import cached_property, reduce
+from itertools import compress, count, islice, product
+from operator import and_, getitem, or_
 from typing import Optional
 
-from .formula import (And, Bottom, Formula, Implies, Or, Variable, postorder,
-                      variable_indices)
+from .formula import (And, Bottom, Formula, Implies, Or, Variable, _ones,
+                      postorder, variable_indices)
+
+# formula values held at once, assignments times nodes: this caps the
+# block of assignments evaluated together, so memory stays bounded
+VALUES = 1 << 16
 
 
 class MalformedAlgebra(ValueError):
@@ -56,7 +63,7 @@ class FiniteHeytingAlgebra:
         filter of that meet: the filters are the sets of elements above
         a, one for each element a."""
         rng = range(self.size)
-        out = (frozenset(b for b in rng if self.le[a][b]) for a in rng)
+        out = (frozenset(compress(rng, row)) for row in self.le)
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
@@ -66,10 +73,29 @@ class Violation:
     witness: tuple
 
 
+def _masks(le) -> tuple:
+    """(down, up): bit b of down[a] is le[b][a], bit b of up[a] is
+    le[a][b]."""
+    bits = [1 << b for b in range(len(le))]
+    up = [sum(compress(bits, row)) for row in le]
+    down = [sum(compress(bits, col)) for col in zip(*le)]
+    return down, up
+
+
+def _residuals(cols, meet, b: int) -> list:
+    """For each c, the mask of the a with meet(a, b) <= c, where cols[c]
+    is column c of the order table.  The masks of by_meet are disjoint,
+    so their sum is their union."""
+    by_meet = [0] * len(cols)
+    for a in range(len(cols)):
+        by_meet[meet[a][b]] |= 1 << a
+    return [sum(compress(by_meet, col)) for col in cols]
+
+
 def _table(rows, size, what, cast):
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if len(rows) != size or any(map(size.__ne__, map(len, rows))):
         raise MalformedAlgebra(f"{what} table must be {size}x{size}")
-    return tuple(tuple(cast(x) for x in r) for r in rows)
+    return tuple([tuple(map(cast, r)) for r in rows])
 
 
 def make_algebra(size: int, le, meet, join, himp, bot: int, top: int,
@@ -87,7 +113,7 @@ def make_algebra(size: int, le, meet, join, himp, bot: int, top: int,
         _table(himp, size, "himp", int),
         bot, top, name)
     for t in (alg.meet, alg.join, alg.himp):
-        if any(not 0 <= x < size for row in t for x in row):
+        if min(map(min, t)) < 0 or max(map(max, t)) >= size:
             raise MalformedAlgebra("operation table entry out of range")
     return alg
 
@@ -95,44 +121,56 @@ def make_algebra(size: int, le, meet, join, himp, bot: int, top: int,
 def validate_algebra(alg: FiniteHeytingAlgebra) -> list:
     """Empty list iff the tables describe a Heyting algebra: a partial
     order with correct meets, joins, bounds and the residuation law
-    a <= himp(b, c) iff meet(a, b) <= c."""
-    out = []
-    rng = range(alg.size)
-    le = alg.le
+    a <= himp(b, c) iff meet(a, b) <= c.  Each law is tested on whole
+    rows or tables at once: the order and lattice laws on the bitmasks
+    of the elements below and above each element, residuation on
+    strings over (b, c).  Only the bits or pairs that break a law are
+    visited, and violations come in the order of loops over a, b and c."""
+    n, le, meet, join = alg.size, alg.le, alg.meet, alg.join
+    rng = range(n)
+    down, up = _masks(le)
+    out = [Violation("order_reflexive", (a,)) for a in rng if not le[a][a]]
+    reflexive = not out
     for a in rng:
-        if not le[a][a]:
-            out.append(Violation("order_reflexive", (a,)))
-    for a in rng:
-        for b in rng:
-            if a != b and le[a][b] and le[b][a]:
-                out.append(Violation("order_antisymmetric", (a, b)))
-            for c in rng:
-                if le[a][b] and le[b][c] and not le[a][c]:
-                    out.append(Violation("order_transitive", (a, b, c)))
-    for a in rng:
-        if not le[alg.bot][a]:
+        if up[a] & down[a] & ~(1 << a) or \
+                reduce(or_, compress(up, le[a]), 0) & ~up[a]:
+            for b in _ones(up[a]):
+                if a != b and up[b] >> a & 1:
+                    out.append(Violation("order_antisymmetric", (a, b)))
+                out += [Violation("order_transitive", (a, b, c))
+                        for c in _ones(up[b] & ~up[a])]
+    above_bot, below_top = up[alg.bot], down[alg.top]
+    for a in _ones(((1 << n) - 1) & ~(above_bot & below_top)):
+        if not above_bot >> a & 1:
             out.append(Violation("bot_least", (a,)))
-        if not le[a][alg.top]:
+        if not below_top >> a & 1:
             out.append(Violation("top_greatest", (a,)))
-    for a in rng:
-        for b in rng:
-            m = alg.meet[a][b]
-            if not (le[m][a] and le[m][b]):
+    # entry a * n + b of each list is for the pair (a, b)
+    lower = [x & y for x in down for y in down]
+    upper = [x & y for x in up for y in up]
+    meets = [m for row in meet for m in row]
+    joins = [j for row in join for j in row]
+    if not (reflexive and lower == [down[m] for m in meets]
+            and upper == [up[j] for j in joins]):
+        for (a, b), m, j, lo, hi in zip(product(rng, rng), meets, joins,
+                                        lower, upper):
+            if not lo >> m & 1:
                 out.append(Violation("meet_lower_bound", (a, b)))
-            for c in rng:
-                if le[c][a] and le[c][b] and not le[c][m]:
-                    out.append(Violation("meet_greatest", (a, b, c)))
-            j = alg.join[a][b]
-            if not (le[a][j] and le[b][j]):
+            out += [Violation("meet_greatest", (a, b, c))
+                    for c in _ones(lo & ~down[m])]
+            if not hi >> j & 1:
                 out.append(Violation("join_upper_bound", (a, b)))
-            for c in rng:
-                if le[a][c] and le[b][c] and not le[j][c]:
-                    out.append(Violation("join_least", (a, b, c)))
+            out += [Violation("join_least", (a, b, c))
+                    for c in _ones(hi & ~up[j])]
+    # both sides of residuation for a row a, as strings over (b, c)
+    rows = ["".join(map(chr, row)) for row in le]
+    himp = "".join(["".join(map(chr, row)) for row in alg.himp])
     for a in rng:
-        for b in rng:
-            for c in rng:
-                if le[a][alg.himp[b][c]] != le[alg.meet[a][b]][c]:
-                    out.append(Violation("residuation", (a, b, c)))
+        lhs = himp.translate(rows[a])
+        rhs = "".join(map(rows.__getitem__, meet[a]))
+        if lhs != rhs:
+            out += [Violation("residuation", (a, k // n, k % n))
+                    for k in range(n * n) if lhs[k] != rhs[k]]
     return out
 
 
@@ -140,46 +178,48 @@ def lattice_from_le(le) -> tuple:
     """Derive (meet, join, bot, top) from an order table; raises
     MalformedAlgebra when the order is not a bounded lattice."""
     size = len(le)
-    le = _table(le, size, "le", bool)
-    rng = range(size)
-    bots = [a for a in rng if all(le[a][b] for b in rng)]
-    tops = [a for a in rng if all(le[b][a] for b in rng)]
+    down, up = _masks(_table(le, size, "le", bool))
+    full = (1 << size) - 1
+    bots = [a for a in range(size) if up[a] == full]
+    tops = [a for a in range(size) if down[a] == full]
     if len(bots) != 1 or len(tops) != 1:
         raise MalformedAlgebra("order has no unique bottom/top")
 
-    def bound(a, b, lower):
-        if lower:
-            cands = [c for c in rng if le[c][a] and le[c][b]]
-            best = [c for c in cands if all(le[d][c] for d in cands)]
-        else:
-            cands = [c for c in rng if le[a][c] and le[b][c]]
-            best = [c for c in cands if all(le[c][d] for d in cands)]
-        if len(best) != 1:
-            raise MalformedAlgebra(
-                f"{'meet' if lower else 'join'} of ({a}, {b}) does not exist")
-        return best[0]
+    def missing(what):
+        return lambda a, b: MalformedAlgebra(
+            f"{what} of ({a}, {b}) does not exist")
 
-    meet = tuple(tuple(bound(a, b, True) for b in rng) for a in rng)
-    join = tuple(tuple(bound(a, b, False) for b in rng) for a in rng)
+    meet = _greatest_rows((list(map(d.__and__, down)) for d in down), down,
+                          missing("meet"))
+    join = _greatest_rows((list(map(u.__and__, up)) for u in up), up,
+                          missing("join"))
     return meet, join, bots[0], tops[0]
 
 
 def himp_from_order(le, meet) -> tuple:
     """The forced relative pseudocomplement: himp(b, c) is the greatest a
     with meet(a, b) <= c; raises NotHeytingError when no greatest exists."""
-    size = len(le)
-    rng = range(size)
-    rows = []
-    for b in rng:
-        row = []
-        for c in rng:
-            cands = [a for a in rng if le[meet[a][b]][c]]
-            best = [a for a in cands if all(le[d][a] for d in cands)]
-            if len(best) != 1:
-                raise NotHeytingError(b, c)
-            row.append(best[0])
-        rows.append(tuple(row))
-    return tuple(rows)
+    cols = list(zip(*le))
+    return _greatest_rows((_residuals(cols, meet, b) for b in range(len(le))),
+                          _masks(le)[0], NotHeytingError)
+
+
+def _greatest_rows(rows, masks, error) -> tuple:
+    """The table of the greatest member of each candidate mask, row by
+    row: the one c in cands with cands & ~masks[c] == 0.  error(a, b) is
+    raised for the first entry with none or several, as on an order that
+    is not antisymmetric."""
+    best: dict = {}
+    out = []
+    for a, row in enumerate(rows):
+        for cands in set(row).difference(best):
+            found = [c for c in _ones(cands) if not cands & ~masks[c]]
+            best[cands] = found[0] if len(found) == 1 else None
+        picked = tuple(map(best.__getitem__, row))
+        if None in picked:
+            raise error(a, picked.index(None))
+        out.append(picked)
+    return tuple(out)
 
 
 def algebra_from_le(le, name: str = "") -> FiniteHeytingAlgebra:
@@ -221,16 +261,10 @@ def product_algebra(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra,
 def is_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
     """Nonempty, meet-closed, upward closed."""
     s = frozenset(subset)
-    if not s:
-        return False
-    for x in s:
-        for y in s:
-            if alg.meet[x][y] not in s:
-                return False
-        for y in range(alg.size):
-            if alg.le[x][y] and y not in s:
-                return False
-    return True
+    rng = range(alg.size)
+    return bool(s) and all(s.issuperset(map(alg.meet[x].__getitem__, s))
+                           and s.issuperset(compress(rng, alg.le[x]))
+                           for x in s)
 
 
 def _meet_fold(alg: FiniteHeytingAlgebra, xs) -> int:
@@ -252,7 +286,7 @@ def generated_filter(alg: FiniteHeytingAlgebra, subset) -> frozenset:
         if s <= cand:
             members = cand if members is None else members & cand
     inf = _meet_fold(alg, sorted(s))
-    by_meets = frozenset(a for a in range(alg.size) if alg.le[inf][a])
+    by_meets = frozenset(compress(range(alg.size), alg.le[inf]))
     if members != by_meets:
         raise RuntimeError(
             f"generated-filter characterizations disagree on {sorted(s)}")
@@ -264,14 +298,13 @@ def is_proper_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
 
 
 def is_prime_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
+    """A proper filter holding x or y whenever it holds join(x, y)."""
     s = frozenset(subset)
     if not is_proper_filter(alg, s):
         return False
-    for x in range(alg.size):
-        for y in range(alg.size):
-            if alg.join[x][y] in s and x not in s and y not in s:
-                return False
-    return True
+    outside = [x for x in range(alg.size) if x not in s]
+    return all(s.isdisjoint(map(alg.join[x].__getitem__, outside))
+               for x in outside)
 
 
 def prime_filters(alg: FiniteHeytingAlgebra) -> list:
@@ -388,23 +421,28 @@ def make_interpretation(alg: FiniteHeytingAlgebra,
 
 def interpret(interp: Interpretation, phi: Formula) -> int:
     """Homomorphic extension of the variable assignment."""
-    return _evaluate(interp.algebra, postorder([phi]), interp.element)[id(phi)]
+    value = _evaluate(interp.algebra, postorder([phi]),
+                      lambda i: (interp.element(i),), 1)
+    return value[id(phi)][0]
 
 
-def _evaluate(alg: FiniteHeytingAlgebra, nodes: list, element) -> dict:
-    """id(node) -> value for each node of a postorder list, where
-    element(i) is the value of variable p<i>; variables are looked up
-    in list order, so the leftmost unassigned one is reported."""
+def _evaluate(alg: FiniteHeytingAlgebra, nodes: list, column,
+              size: int) -> dict:
+    """id(node) -> its values under a block of size assignments, for each
+    node of a postorder list, where column(i) lists the values of p<i>;
+    variables are looked up in list order, so the leftmost unassigned
+    one is reported."""
     ops = {And: alg.meet, Or: alg.join, Implies: alg.himp}
     value: dict = {}
     for f in nodes:
         kind = type(f)
         if kind is Variable:
-            value[id(f)] = element(f.var.index)
+            value[id(f)] = column(f.var.index)
         elif kind is Bottom:
-            value[id(f)] = alg.bot
+            value[id(f)] = (alg.bot,) * size
         else:
-            value[id(f)] = ops[kind][value[id(f.lhs)]][value[id(f.rhs)]]
+            rows = map(ops[kind].__getitem__, value[id(f.lhs)])
+            value[id(f)] = list(map(getitem, rows, value[id(f.rhs)]))
     return value
 
 
@@ -425,16 +463,32 @@ class AlgConsequenceVerdict:
 
 
 def consequence_over_algebras(algebras, gamma, phi) -> AlgConsequenceVerdict:
-    """Algebraic semantic consequence restricted to the supplied catalog."""
+    """Algebraic semantic consequence restricted to the supplied catalog.
+    Assignments run in product order, in blocks that grow from 16 to
+    VALUES // len(nodes) so that an early refutation stays cheap, and
+    the first refuting one is reported."""
     gamma = list(gamma)
     nodes = postorder(gamma + [phi])
     idx = variable_indices(gamma + [phi])
+    cap = max(1, VALUES // len(nodes))
     for i, alg in enumerate(algebras):
-        for choice in product(range(alg.size), repeat=len(idx)):
-            value = _evaluate(alg, nodes, dict(zip(idx, choice)).__getitem__)
-            if all(value[id(g)] == alg.top for g in gamma) \
-                    and value[id(phi)] != alg.top:
-                return AlgConsequenceVerdict(False, i, tuple(zip(idx, choice)))
+        choices = product(range(alg.size), repeat=len(idx))
+        size = min(16, cap)
+        while block := list(islice(choices, size)):
+            size = min(4 * size, cap)
+            columns = dict(zip(idx, zip(*block)))
+            value = _evaluate(alg, nodes, columns.__getitem__, len(block))
+            top = alg.top
+            refutes = list(map(top.__ne__, value[id(phi)]))
+            for g in gamma:
+                # a list each time: a chain of one lazy map per premise
+                # would overflow the C stack when next() runs through it
+                refutes = list(map(and_, refutes,
+                                   map(top.__eq__, value[id(g)])))
+            t = next(compress(count(), refutes), None)
+            if t is not None:
+                return AlgConsequenceVerdict(False, i,
+                                             tuple(zip(idx, block[t])))
     return AlgConsequenceVerdict(True)
 
 
@@ -494,6 +548,9 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
                 raise ValueError("declared top disagrees with the order")
         if "himp" in obj:
             himp = _table(obj["himp"], size, "himp", int)
+        elif any(not 0 <= x < size for row in meet for x in row):
+            # himp_from_order would index the order table with them
+            raise MalformedAlgebra("operation table entry out of range")
         else:
             himp = himp_from_order(_table(le, size, "le", bool), meet)
         alg = make_algebra(size, le, meet, join, himp, bot, top, name)

@@ -14,7 +14,8 @@ from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .formula import And, Bottom, Formula, Or, Variable, variable_indices
+from .formula import (And, Bottom, Formula, Or, Variable, _ones,
+                      variable_indices)
 
 
 # Candidate valuations that find_countermodel may enumerate for one world
@@ -163,14 +164,6 @@ def _frame_check(rel: frozenset, worlds: int) -> tuple:
                               (labels[ka], labels[kb], labels[kc]))
                     for kc in _ones(succ[kb] & inside & ~row)]
     return labels, bit, succ, tuple(out)
-
-
-def _ones(mask: int):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
@@ -441,8 +434,8 @@ def model_to_json(model: KripkeModel) -> dict:
 def _closure(pairs: list, worlds: int) -> set:
     """The transitive closure of the pairs with (w, w) added for each
     world w < worlds, by Warshall over successor bitmasks of the worlds
-    that the pairs name.  Worlds out of range stay in, so that make_model
-    names them."""
+    that the pairs name; model_from_json rejects worlds out of range
+    before it runs."""
     nodes = list(dict.fromkeys(w for pair in pairs for w in pair))
     bit = {w: k for k, w in enumerate(nodes)}
     succ = [0] * len(nodes)
@@ -490,6 +483,10 @@ def model_from_json(obj) -> KripkeModel:
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("malformed model JSON: each pair of rel must name "
                          "two worlds")
+    for i, j in pairs:
+        # before the closure, which would take time quadratic in them
+        if not (0 <= i < worlds and 0 <= j < worlds):
+            raise ValueError(f"relation pair ({i}, {j}) out of range")
     closure = _closure(pairs, worlds)
     val = dict(val)
     valuation = {v: _ints(val.pop(f"p{v}", []), f"the valuation of p{v}")

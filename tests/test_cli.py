@@ -137,6 +137,27 @@ class TestMalformedInput:
         assert out == ""
         assert err.strip() and "Traceback" not in err
 
+    def test_pair_out_of_range_names_the_input_pair(self, capsys, tmp_path):
+        doc = {"worlds": 2, "rel": [[0, 1_000_000 + i] for i in range(5000)]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "eval", str(path), "0", "p0")
+        assert (code, out) == (2, "")
+        assert err == (f"bad model in {path}: relation pair (0, 1000000) "
+                       "out of range\n")
+
+    def test_meet_out_of_range_without_himp(self, capsys, tmp_path):
+        # himp_from_order would index the order table with the entry
+        doc = {"size": 2, "le": [[True, True], [False, True]],
+               "meet": [[0, 9], [0, 1]], "join": [[0, 1], [1, 1]],
+               "bot": 0, "top": 1}
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "alg-valid", str(path), "p0")
+        assert (code, out) == (2, "")
+        assert err == (f"bad algebra in {path}: operation table entry out "
+                       "of range\n")
+
 
 class TestModelCommands:
     def test_eval_true(self, capsys, chain2_file):

@@ -195,6 +195,57 @@ class TestSuperPrime:
             assert prime_intersection(alg) == frozenset({alg.top}), alg.name
 
 
+def chain_product(lengths):
+    """The product of chains of the given lengths, by product_algebra."""
+    out = chain(lengths[0])
+    for n in lengths[1:]:
+        out = product_algebra(out, chain(n))
+    return out
+
+
+def join_irreducibles(alg) -> list:
+    """The j != bot that are not the join of the elements below them."""
+    out = []
+    for j in range(alg.size):
+        below = alg.bot
+        for a in range(alg.size):
+            if a != j and alg.le[a][j]:
+                below = alg.join[below][a]
+        if j != alg.bot and below != j:
+            out.append(j)
+    return out
+
+
+class TestBirkhoff:
+    """In a finite distributive lattice every prime filter is the up-set
+    of a join-irreducible element (Birkhoff's representation; Davey and
+    Priestley, Introduction to Lattices and Order, ch. 5)."""
+
+    # the chains and products of chains of the catalog, and the products
+    # of chains of the algebra benchmark
+    CATALOG = list(standard_algebras()[:6])
+    WORKLOAD = [chain_product(lengths) for lengths in
+                ((2, 2, 2), (3, 3), (2, 5), (3, 4), (2, 2, 3), (2, 6))]
+
+    def test_super_prime_filter_is_a_birkhoff_witness(self):
+        for alg in self.CATALOG + self.WORKLOAD:
+            irreducible = set(join_irreducibles(alg))
+
+            def least(s):
+                return next(a for a in s if all(alg.le[a][b] for b in s))
+
+            for flt in alg.filters:
+                for x in range(alg.size):
+                    if x in flt:
+                        continue
+                    out = super_prime_filter(alg, flt, x)
+                    j = least(out)
+                    assert out == frozenset(
+                        b for b in range(alg.size) if alg.le[j][b])
+                    assert j in irreducible, (alg.name, sorted(flt), x)
+                    assert alg.le[j][least(flt)] and not alg.le[j][x]
+
+
 class TestWitnesses:
     def test_join_witness_can_fail(self):
         # with a join bound, {top} offers no witness for x=1, y=1 in C3

@@ -352,6 +352,18 @@ class TestJson:
             model_from_json({"worlds": 1, "rel": [], "vars": 0,
                              "val": {"p0": [0]}})
 
+    def test_loader_names_the_first_pair_out_of_range(self):
+        # checked before the closure, which took seconds over these
+        # 5,000 worlds and then named a pair of its own
+        rel = [[0, 1]] + [[0, 1_000_000 + i] for i in range(5000)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^relation pair "
+                           r"\(0, 1000000\) out of range$"):
+            model_from_json({"worlds": 2, "rel": rel + [[-1, 0]]})
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match=r"\(-1, 0\) out of range"):
+            model_from_json({"worlds": 2, "rel": [[0, 1], [-1, 0]]})
+
 
 def reference_closure(rel, worlds) -> set:
     """The fixpoint model_from_json used before Warshall: add (a, d) for

@@ -284,7 +284,7 @@ def _cmd_saturate_pair(args):
         raise UsageError(str(exc)) from exc
     final = trace[-1]
     def side(formulas):
-        return [render(f) for f in sorted(formulas, key=encode)]
+        return [render(f) for f in sorted(formulas, key=universe.code)]
     return EXIT_POSITIVE, {
         "left": side(final.left),
         "right": side(final.right),

@@ -317,6 +317,13 @@ def super_prime_filter(alg: FiniteHeytingAlgebra, flt, x: int) -> frozenset:
     maximal filter avoiding x.  Primeness of the maximal avoider is a
     theorem at finite size; it is asserted, not assumed."""
     f = frozenset(flt)
+    outside = f.difference(range(alg.size))
+    if outside:
+        raise ValueError(f"filter element {min(outside)} is not an element "
+                         f"of the {alg.size}-element algebra")
+    if x not in range(alg.size):
+        raise ValueError(f"avoided point {x} is not an element of the "
+                         f"{alg.size}-element algebra")
     if not is_filter(alg, f):
         raise ValueError("super_prime_filter requires a filter")
     if x in f:

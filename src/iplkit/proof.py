@@ -299,6 +299,13 @@ def infer_conclusion(proof: ProofTerm) -> Formula:
     return _conclusions(proof, None)[id(proof)]
 
 
+def premises(proof: ProofTerm) -> frozenset:
+    """The formulas of the proof's Premise nodes, the least gamma that
+    check can accept it under."""
+    return frozenset(node.formula for node in postorder([proof], _children)
+                     if type(node) is Premise)
+
+
 def weaken(gamma, gamma_prime, proof: ProofTerm) -> ProofTerm:
     """Premise monotonicity: the same term checks against any superset."""
     gamma = frozenset(gamma)

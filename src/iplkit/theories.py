@@ -11,18 +11,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
-from .formula import (And, BOT, Formula, Implies, Or, TOP, all_formulas,
-                      order_key, render, variable_indices)
+from .formula import (And, BOT, Formula, Or, TOP, all_formulas, order_key,
+                      render, variable_indices)
 from .kripke import (KripkeModel, first_refutation, forces, forces_all,
                      make_model, validate_model)
-from .proof import ProofTerm, check
+from .proof import ProofTerm, check, premises
 from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
-
-# Subset pairs that pair_consistent tries before the whole pair.
-MAX_SUBSET_PAIRS = 20000
 
 # The most variables the classical truth-table scan covers (2^16 worlds).
 _MAX_SCAN_VARS = 16
@@ -127,16 +123,6 @@ class Oracle:
             raise RuntimeError("prover returned a witness for the wrong "
                                f"conclusion: {render(conclusion)}")
         return Provable(proof)
-
-    def try_prove(self, gamma, phi: Formula) -> Optional[ProofTerm]:
-        """Witness or None; never builds a countermodel."""
-        gamma = frozenset(gamma)
-        if self._classical_countermodel(gamma, phi) is not None:
-            return None
-        try:
-            return Prover(self.budget.max_depth).prove(gamma, phi)
-        except SearchBudgetExceeded:
-            return None
 
     def _classical_countermodel(self, gamma: frozenset,
                                 phi: Formula) -> Optional[KripkeModel]:
@@ -323,51 +309,29 @@ def _pair_decision(pair: FormulaPair, oracle: Oracle):
     return oracle.provable(pair.left, disj_fold(right))
 
 
-def _subset_pairs(left: list, right: list):
-    """(Phi, Omega) subset pairs by increasing combined cardinality, then
-    subset size, then positionally (both sides are sorted by order_key)."""
-    for total in range(len(left) + len(right) + 1):
-        for k in range(total + 1):
-            if k > len(left) or total - k > len(right):
-                continue
-            for phi_sub in combinations(left, k):
-                for omega_sub in combinations(right, total - k):
-                    yield phi_sub, omega_sub
-
-
 def pair_consistent(pair: FormulaPair, oracle: Oracle):
-    """Consistency of a pair of formula sets.
+    """Consistency of a pair of formula sets, from the one oracle query
+    of the left side proving the fold of the right side.
 
-    Holds carries one countermodel (a world forcing the whole left side
-    and refuting every right-side formula), which refutes the defining
-    implication of every subset pair at once.  Fails carries the first
-    provable subset pair (Phi, Omega) together with a checked proof of
-    conj_fold(Phi) -> disj_fold(Omega) from no premises.
+    Holds carries that query's countermodel (a world forcing the whole
+    left side and refuting every right-side formula), which refutes the
+    defining implication of every subset pair at once.  Fails carries
+    (Phi, Omega, proof): Phi the left formulas that the oracle's proof
+    uses as premises, Omega the whole right side, both sorted by
+    order_key, and the oracle's kernel-checked proof itself, which
+    derives disj_fold(Omega) from the premises Phi.
     """
     verdict = _pair_decision(pair, oracle)
     if isinstance(verdict, Refuted):
         return Holds((verdict.model, verdict.world))
     if isinstance(verdict, Unknown):
         return Unknown(verdict.reason)
-    left = sorted(pair.left, key=order_key)
-    right = sorted(pair.right, key=order_key)
-    budget = MAX_SUBSET_PAIRS
-    for phi_sub, omega_sub in _subset_pairs(left, right):
-        if budget <= 0:
-            break
-        budget -= 1
-        target = Implies(conj_fold(phi_sub), disj_fold(omega_sub))
-        proof = oracle.try_prove(frozenset(), target)
-        if proof is not None:
-            if check(frozenset(), proof) != target:
-                raise RuntimeError("subset-pair witness does not check")
-            return Fails((phi_sub, omega_sub, proof))
-    target = Implies(conj_fold(left), disj_fold(right))
-    proof = oracle.try_prove(frozenset(), target)
-    if proof is None:
-        return Unknown("pair is provably inconsistent but witness search "
-                       "exceeded the subset budget")
-    return Fails((tuple(left), tuple(right), proof))
+    proof = verdict.witness
+    phi_sub = tuple(sorted(premises(proof), key=order_key))
+    omega_sub = tuple(sorted(pair.right, key=order_key))
+    if check(phi_sub, proof) != disj_fold(omega_sub):
+        raise RuntimeError("pair witness does not check")
+    return Fails((phi_sub, omega_sub, proof))
 
 
 def add_formula_to_pair(pair: FormulaPair, phi: Formula,

@@ -255,6 +255,17 @@ class TestAlgebraCommands:
                                "--filter", "2", "--avoid", "2")
         assert code == 2 and "outside" in err
 
+    @pytest.mark.parametrize("flt, avoid, message", [
+        ("99", "0", "filter element 99 is not an element"),
+        ("2", "99", "avoided point 99 is not an element"),
+        ("2", "-1", "avoided point -1 is not an element"),
+    ])
+    def test_super_prime_point_outside_the_algebra(self, capsys, c3_file,
+                                                   flt, avoid, message):
+        code, out, err = run_cli(capsys, "super-prime", c3_file,
+                                 "--filter", flt, "--avoid", avoid)
+        assert code == 2 and out == "" and message in err
+
 
 class TestBridgeCommands:
     def test_k2a(self, capsys, chain2_file):

@@ -16,8 +16,6 @@ ENCODE_ORDER_BY_DESIGN = {
     "lindenbaum.build_quotient": "the class order and each class's "
                                  "minimal-encode representative are part "
                                  "of the quotient table and the CLI output",
-    "cli._cmd_saturate_pair": "the printed side lists keep the order of "
-                              "the universe they are drawn from",
 }
 
 

@@ -170,6 +170,15 @@ class TestSuperPrime:
         with pytest.raises(ValueError):
             super_prime_filter(C3, {2}, 2)
 
+    @pytest.mark.parametrize("flt, x, message", [
+        ({99}, 0, "filter element 99 is not an element"),
+        ({2}, 99, "avoided point 99 is not an element"),
+        ({2}, -1, "avoided point -1 is not an element"),
+    ])
+    def test_rejects_points_outside_the_algebra(self, flt, x, message):
+        with pytest.raises(ValueError, match=message):
+            super_prime_filter(C3, flt, x)
+
     def test_exhaustive_contract(self):
         for alg in standard_algebras():
             if alg.size > 6:

@@ -19,7 +19,7 @@ from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
                           deduction_theorem, derived, dni, ex_falso_rule,
                           identity, iff_elim_left, iff_elim_right, iff_intro,
                           imp_swap, infer_conclusion, k_axiom, neg_elim,
-                          or_elim, or_intro_right, proof_from_json,
+                          or_elim, or_intro_right, premises, proof_from_json,
                           proof_to_json, s_rule, subst_premise, weaken)
 
 p0, p1, p2 = var(0), var(1), var(2)
@@ -266,6 +266,23 @@ class TestWeaken:
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
             weaken([p0], [], Premise(p0))
+
+
+class TestPremises:
+    def test_closed_term(self):
+        assert premises(identity(p0)) == frozenset()
+
+    def test_each_premise_once(self):
+        mp = ModusPonens(Premise(p0), Premise(Implies(p0, p1)))
+        term = ModusPonens(mp, ModusPonens(Premise(p1), k_axiom(p1, p0)))
+        assert premises(term) == {p0, p1, Implies(p0, p1)}
+
+    def test_least_context_that_checks(self):
+        term = ModusPonens(Premise(p0), Premise(Implies(p0, p1)))
+        assert check(premises(term), term) == p1
+        for dropped in premises(term):
+            with pytest.raises(PremiseNotInContext):
+                check(premises(term) - {dropped}, term)
 
 
 class TestJson:

@@ -6,13 +6,14 @@ from itertools import product
 import pytest
 
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
-                            encode, neg, parse, var, variable_indices,
-                            variables)
+                            all_formulas, encode, neg, order_key, parse, var,
+                            variable_indices, variables)
 from iplkit.kripke import (_LABELED_PREORDERS, CountermodelSearchTooLarge,
                            _preorders, find_countermodel, forces, forces_all,
                            make_model, model_from_json, model_to_json,
                            validate_model)
 from iplkit.proof import Premise, check, proof_to_json
+from iplkit.prover import Prover
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
                              add_formula_to_pair, budget_from_env,
@@ -344,8 +345,6 @@ class TestLongLivedOracle:
         sets = set()
         for gamma, phi in queries:
             got = shared.provable(gamma, phi)
-            if seed == 2:
-                shared.try_prove(gamma, Implies(phi, phi))
             assert certificate_text(got) == \
                 certificate_text(Oracle().provable(gamma, phi))
             kinds.add(type(got).__name__)
@@ -417,8 +416,7 @@ class TestPairConsistency:
         assert isinstance(v, Fails)
         phi_sub, omega_sub, proof = v.witness
         assert phi_sub == (p0,) and omega_sub == (p0,)
-        expected = Implies(conj_fold([p0]), disj_fold([p0]))
-        assert check(frozenset(), proof) == expected
+        assert check(frozenset(phi_sub), proof) == disj_fold(omega_sub)
 
     def test_separable_pair(self, oracle):
         v = pair_consistent(make_pair([p0], [p1]), oracle)
@@ -439,6 +437,67 @@ class TestPairConsistency:
         assert isinstance(v, Holds)
         v = pair_consistent(make_pair([neg(neg(p0)), neg(p0)], []), oracle)
         assert isinstance(v, Fails)
+
+    def test_witness_keeps_only_the_premises_the_proof_uses(self):
+        # 20 unused left formulas and 10 unused right formulas around a
+        # chain p1, p1 -> p2, p2 -> p0 that proves p0
+        chain = [p1, parse("p1 -> p2"), parse("p2 -> p0")]
+        left = [var(100 + i) for i in range(20)] + chain
+        right = [var(200 + i) for i in range(10)] + [p0]
+        v = pair_consistent(make_pair(left, right), Oracle())
+        assert isinstance(v, Fails)
+        phi_sub, omega_sub, proof = v.witness
+        assert set(phi_sub) == set(chain) and len(phi_sub) == 3
+        assert omega_sub == tuple(sorted(right, key=order_key))
+        assert check(frozenset(phi_sub), proof) == disj_fold(omega_sub)
+
+    @pytest.mark.parametrize("left, right, kind", [
+        # ({~~p2}, {p2}) holds classically but not intuitionistically, so
+        # a scan of subset pairs would search it before the chain
+        (["~~p2", "p0", "p0 -> p1"], ["p2", "p1"], Fails),
+        (["~~p2"], ["p2"], Holds),
+    ])
+    def test_one_oracle_query(self, left, right, kind, monkeypatch):
+        calls = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                calls.append(method.__qualname__)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(Oracle, "provable", counted(Oracle.provable))
+        monkeypatch.setattr(Prover, "prove", counted(Prover.prove))
+        pair = make_pair(map(parse, left), map(parse, right))
+        assert isinstance(pair_consistent(pair, Oracle()), kind)
+        assert calls == ["Oracle.provable", "Prover.prove"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_witnesses_agree_with_the_defining_query(self, seed):
+        rng = random.Random(seed)
+        pool = list(all_formulas(2, 2))
+        oracle = Oracle()
+        kinds = set()
+        for _ in range(80):
+            left = rng.sample(pool, rng.randint(0, 4))
+            right = rng.sample(pool, rng.randint(0, 3))
+            v = pair_consistent(make_pair(left, right), oracle)
+            query = Oracle().provable(
+                left, disj_fold(sorted(right, key=order_key)))
+            expected = {Provable: Fails, Refuted: Holds}[type(query)]
+            assert isinstance(v, expected)
+            kinds.add(expected)
+            if isinstance(v, Fails):
+                phi_sub, omega_sub, proof = v.witness
+                assert set(phi_sub) <= set(left)
+                assert omega_sub == tuple(sorted(right, key=order_key))
+                assert check(frozenset(phi_sub), proof) == \
+                    disj_fold(omega_sub)
+            else:
+                model, world = v.evidence
+                assert forces_all(model, world, left)
+                assert not any(forces(model, world, f) for f in right)
+        assert kinds == {Fails, Holds}
 
 
 class TestAddFormula:

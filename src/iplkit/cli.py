@@ -28,9 +28,9 @@ _LIBRARY = {
     "kripke": """CountermodelSearchTooLarge _models consequence_over_models
         find_countermodel forces model_from_json model_to_json""",
     "lindenbaum": "build_quotient provably_leq",
-    "proof": "ProofError check proof_from_json",
-    "theories": """Fails Holds Oracle OracleInconclusive budget_from_env
-        canonical_universe make_pair saturation_trace""",
+    "proof": "ProofError check proof_from_json proof_to_json",
+    "theories": """Fails Holds Oracle OracleInconclusive Provable
+        budget_from_env canonical_universe make_pair saturation_trace""",
 }
 _HOME = {name: module for module, names in _LIBRARY.items()
          for name in names.split()}
@@ -187,8 +187,16 @@ def _cmd_countermodel(args):
     try:
         found = find_countermodel(gamma, phi, args.max_worlds)
     except CountermodelSearchTooLarge as exc:
-        return EXIT_UNKNOWN, dict(unknown, reason=str(exc))
+        unknown["reason"] = str(exc)
+        found = None
     if found is None:
+        # no countermodel within the bounds: a provable input is answered
+        # with its certificate, anything else stays inconclusive
+        _need("theories", "proof")
+        verdict = Oracle(budget_from_env()).provable(gamma, phi)
+        if isinstance(verdict, Provable):
+            return EXIT_POSITIVE, dict(unknown,
+                                       proof=proof_to_json(verdict.witness))
         return EXIT_UNKNOWN, unknown
     model, world = found
     return EXIT_NEGATIVE, {"model": model_to_json(model), "world": world,

@@ -4,15 +4,17 @@ Phase 1 decides premises |- goal by Dyckhoff's contraction-free G4ip
 search (invertible rules first, then backtracking over disjunction
 introduction and nested-implication premises), memoizing per sequent the
 winning rule, its sub-sequents and the premises it used.  Phase 2 replays
-the winning derivation once per query into a closed proof of C -> goal,
-where the context C conjoins the hypotheses introduced on the path; each
-premise used is a fact, a proof of C -> f built on first use, so a
-discharge costs one Exportation node.  Both phases are generators that
-one loop runs on an explicit stack, so the depth budget, not the
-interpreter's recursion limit, bounds the search; it is surfaced as
-SearchBudgetExceeded so callers can report an inconclusive verdict
-instead of a wrong one.  G4ip terminates, so a search that fails is a
-refutation: countermodel reads a finite Kripke countermodel off the
+the winning derivation once per query into a proof of goal from the
+premises.  At the root each step proves its formula x outright; below an
+implication introduction it proves C -> x, where the context C conjoins
+the hypotheses introduced on the path, so a discharge costs at most one
+Exportation node.  Each formula the derivation uses is a fact, a proof
+of f at the root or of C -> f below it, built on first use.  Both phases
+are generators that one loop runs on an explicit stack, so the depth
+budget, not the interpreter's recursion limit, bounds the search; it is
+surfaced as SearchBudgetExceeded so callers can report an inconclusive
+verdict instead of a wrong one.  G4ip terminates, so a search that fails
+is a refutation: countermodel reads a finite Kripke countermodel off the
 failed search's memo.
 """
 
@@ -20,14 +22,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .formula import (And, BOT, Bottom, Formula, Implies, Or, TOP, Variable,
+from .formula import (And, BOT, Bottom, Formula, Implies, Or, Variable,
                       order_key, var, variable_indices)
 from .kripke import make_model
 from .proof import (ContractionConj, Exfalso, Exportation, Importation,
                     ModusPonens, PermutationConj, Premise, ProofTerm,
                     Syllogism, WeakeningConj, WeakeningDisj, _and_compose,
-                    _imp_swap, _or_elim, _s_rule, and_assoc_left,
-                    and_elim_right, k_axiom, or_intro_right)
+                    _and_intro, _imp_swap, _or_elim, _s_rule, and_assoc_left,
+                    and_elim_right, identity, k_axiom, or_intro_right)
 
 DEFAULT_MAX_DEPTH = 512
 
@@ -57,10 +59,8 @@ class Prover:
         key = (frozenset(premises), goal)
         if self._drive(None, key) is None:
             return None
-        if goal in key[0]:
-            return Premise(goal)
-        root = _Context(TOP, None, dict.fromkeys(key[0], _PREMISE))
-        return ModusPonens(Exfalso(BOT), self._drive(root, key))
+        root = _Context(None, None, dict.fromkeys(key[0], _PREMISE))
+        return self._drive(root, key)
 
     def countermodel(self, premises, goal: Formula) -> Optional[tuple]:
         """(model, 0) for a Kripke model whose world 0 forces the premises
@@ -133,25 +133,32 @@ class Prover:
     def _steps(self, ctx: "_Context", key: tuple):
         """The last rule of key's derivation in ctx, as a generator that
         yields (context, sub-sequent) for each sub-proof it needs, is sent
-        that proof, and returns a proof of ctx.formula -> goal."""
+        that proof, and returns a proof of goal at the root, of
+        ctx.formula -> goal below it."""
         rule, delta, subs, _ = self._memo[key]
         goal, c = key[1], ctx.formula
         if rule == _ID:
             return ctx.fact(goal)
         if rule == _EXFALSO:
-            return Syllogism(ctx.fact(BOT), Exfalso(goal))
+            return _then(c, ctx.fact(BOT), Exfalso(goal))
         if rule == _IMP_R:
-            return Exportation((yield ctx.child(goal.lhs), subs[0]))
+            p = yield ctx.child(goal.lhs), subs[0]
+            return p if c is None else Exportation(p)
         if rule == _AND_R:
             p = yield ctx, subs[0]
-            return _and_compose(c, goal.lhs, goal.rhs, p, (yield ctx, subs[1]))
+            q = yield ctx, subs[1]
+            if c is None:
+                return _and_intro(goal.lhs, goal.rhs, p, q)
+            return _and_compose(c, goal.lhs, goal.rhs, p, q)
         if rule in (_OR_R1, _OR_R2):
             inject = WeakeningDisj if rule == _OR_R1 else or_intro_right
-            return Syllogism((yield ctx, subs[0]), inject(goal.lhs, goal.rhs))
+            return _then(c, (yield ctx, subs[0]), inject(goal.lhs, goal.rhs))
         if rule == _OR_L:
             a, b = delta.lhs, delta.rhs
             p = yield ctx.child(a), subs[0]
             q = yield ctx.child(b), subs[1]
+            if c is None:
+                return ModusPonens(ctx.fact(delta), _or_elim(a, b, goal, p, q))
             split = _or_elim(a, b, Implies(c, goal),
                              _swap_out(c, a, p), _swap_out(c, b, q))
             return Syllogism(ContractionConj(c), Importation(
@@ -160,8 +167,9 @@ class Prover:
             # prove inner from inner.rhs -> body, then body from delta
             self._add_facts(ctx, delta, subs[0], key)
             p = yield ctx, subs[0]
-            ctx.facts[delta.rhs] = _s_rule(c, delta.lhs, delta.rhs, p,
-                                           ctx.fact(delta))
+            q = ctx.fact(delta)
+            ctx.facts[delta.rhs] = ModusPonens(p, q) if c is None \
+                else _s_rule(c, delta.lhs, delta.rhs, p, q)
         if rule == _LEFT:
             self._add_facts(ctx, delta, subs[0], key)
         return (yield ctx, subs[-1])
@@ -308,17 +316,23 @@ def _adds(delta: Formula, prem: frozenset) -> Optional[tuple]:
 
 
 def _left_fact(ctx: "_Context", delta: Formula, f: Formula) -> ProofTerm:
-    """A proof of ctx.formula -> f for a formula f that a left rule on
-    delta adds: a conjunct, the body of an implication with an atomic
-    antecedent, or the implication that replaces delta's antecedent."""
+    """A proof of f at the root, of ctx.formula -> f below it, for a
+    formula f that a left rule on delta adds: a conjunct, the body of an
+    implication with an atomic antecedent, or the implication that
+    replaces delta's antecedent."""
+    c = ctx.formula
     if isinstance(delta, And):
         a, b = delta.lhs, delta.rhs
         part = WeakeningConj(a, b) if f == a else and_elim_right(a, b)
-        return Syllogism(ctx.fact(delta), part)
-    c, ante, body = ctx.formula, delta.lhs, delta.rhs
+        return _then(c, ctx.fact(delta), part)
+    ante, body = delta.lhs, delta.rhs
     if isinstance(ante, Variable):
+        if c is None:
+            return ModusPonens(ctx.fact(ante), ctx.fact(delta))
         return _s_rule(c, ante, body, ctx.fact(ante), ctx.fact(delta))
     if isinstance(ante, And):
+        if c is None:
+            return Exportation(ctx.fact(delta))
         return Exportation(Exportation(Syllogism(
             and_assoc_left(c, ante.lhs, ante.rhs),
             Importation(ctx.fact(delta)))))
@@ -328,6 +342,8 @@ def _left_fact(ctx: "_Context", delta: Formula, f: Formula) -> ProofTerm:
         closed = inject(ante.lhs, ante.rhs)
     else:
         closed = k_axiom(ante.rhs, ante.lhs)
+    if c is None:
+        return Syllogism(closed, ctx.fact(delta))
     return _imp_swap(f.lhs, c, body, Syllogism(
         closed, _imp_swap(c, ante, body, ctx.fact(delta))))
 
@@ -338,13 +354,15 @@ _HYP, _PREMISE = object(), object()
 
 
 class _Context:
-    """One hypothesis chain: formula is TOP at the root and
-    And(parent.formula, hypothesis) below it.  facts maps a formula f to
-    a proof of formula -> f; built memoizes the replay per sequent."""
+    """One hypothesis chain.  The root has no formula (None) and its facts
+    are proofs of f from the premises; the formula of a context below it
+    is its hypothesis h at depth 1 and And(parent.formula, h) deeper, and
+    its facts map a formula f to a proof of formula -> f.  built memoizes
+    the replay per sequent."""
 
     __slots__ = ("formula", "parent", "facts", "built", "_children", "_proj")
 
-    def __init__(self, formula: Formula, parent, facts: dict):
+    def __init__(self, formula: Optional[Formula], parent, facts: dict):
         self.formula = formula
         self.parent = parent
         self.facts = facts
@@ -355,8 +373,8 @@ class _Context:
     def child(self, hyp: Formula) -> "_Context":
         out = self._children.get(hyp)
         if out is None:
-            out = self._children[hyp] = _Context(And(self.formula, hyp), self,
-                                                 {hyp: _HYP})
+            formula = hyp if self.formula is None else And(self.formula, hyp)
+            out = self._children[hyp] = _Context(formula, self, {hyp: _HYP})
         return out
 
     def provides(self, f: Formula) -> bool:
@@ -366,8 +384,8 @@ class _Context:
         return ctx is not None
 
     def fact(self, f: Formula) -> ProofTerm:
-        """A proof of formula -> f from the nearest context on the chain
-        that has one, weakened down to this one and cached on the way."""
+        """The fact for f from the nearest context on the chain that has
+        one, weakened down to this one and cached on the way."""
         path = []
         ctx = self
         while f not in ctx.facts:
@@ -375,14 +393,26 @@ class _Context:
             ctx = ctx.parent
         out = ctx.facts[f]
         if out is _HYP:
-            out = ctx.facts[f] = and_elim_right(ctx.formula.lhs, f)
+            out = ctx.facts[f] = identity(f) if ctx.parent.formula is None \
+                else and_elim_right(ctx.formula.lhs, f)
         elif out is _PREMISE:
-            out = ctx.facts[f] = ModusPonens(Premise(f), k_axiom(f, TOP))
+            out = ctx.facts[f] = Premise(f)
         for ctx in reversed(path):
-            if ctx._proj is None:
-                ctx._proj = WeakeningConj(ctx.formula.lhs, ctx.formula.rhs)
-            out = ctx.facts[f] = Syllogism(ctx._proj, out)
+            if ctx.parent.formula is None:
+                out = ModusPonens(out, k_axiom(f, ctx.formula))
+            else:
+                if ctx._proj is None:
+                    ctx._proj = WeakeningConj(ctx.formula.lhs,
+                                              ctx.formula.rhs)
+                out = Syllogism(ctx._proj, out)
+            ctx.facts[f] = out
         return out
+
+
+def _then(c: Optional[Formula], p: ProofTerm, q: ProofTerm) -> ProofTerm:
+    """From p: x (at the root, c None) or c -> x, and a closed proof q of
+    x -> y, a proof of y or of c -> y."""
+    return ModusPonens(p, q) if c is None else Syllogism(p, q)
 
 
 def _swap_out(c, a, p) -> ProofTerm:

@@ -211,9 +211,31 @@ def make_universe(formulas) -> FormulaUniverse:
     return FormulaUniverse(items)
 
 
+# The most formulas canonical_universe builds.  The largest universe under
+# it, canonical_universe(6, 2) with 71,155 formulas, takes about 1 s and
+# 60 MB through `iplkit universe`; the next size up for three variables,
+# canonical_universe(3, 3), would hold about 2 * 10^8.
+MAX_UNIVERSE = 100_000
+
+
 def canonical_universe(num_vars: int, depth: int) -> FormulaUniverse:
     """All formulas over p0..p(num_vars-1) of connective depth <= depth
-    (atoms have connective depth 0), ordered by encode value."""
+    (atoms have connective depth 0), ordered by encode value.  Raises
+    ValueError on a negative argument, or when the universe would hold
+    more than MAX_UNIVERSE formulas, before building any."""
+    if num_vars < 0 or depth < 0:
+        raise ValueError("universe variables and depth must not be negative")
+    # s_d formulas have connective depth below d: s_1 = num_vars + 1
+    # atoms, and s_{d+1} = s_d + 3 (s_d^2 - s_{d-1}^2), since a new
+    # formula joins two of depth below d, not both below d - 1
+    prev, size = 0, num_vars + 1
+    for _ in range(depth):
+        if size > MAX_UNIVERSE:
+            break
+        prev, size = size, size + 3 * (size * size - prev * prev)
+    if size > MAX_UNIVERSE:
+        raise ValueError(f"universe of {num_vars} variables and depth {depth}"
+                         f" exceeds MAX_UNIVERSE = {MAX_UNIVERSE} formulas")
     return FormulaUniverse(tuple(all_formulas(num_vars, depth + 1)))
 
 

@@ -9,11 +9,21 @@ import pytest
 
 import iplkit
 from iplkit.cli import main
-from iplkit.formula import var
+from iplkit.formula import Implies, Or, neg, render, var
 from iplkit.heyting import algebra_to_json, chain
 from iplkit.kripke import model_to_json, make_model
-from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj,
-                          proof_to_json)
+from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj, check,
+                          proof_from_json, proof_to_json)
+
+
+def rieger_nishimura(n):
+    """The n-th formula in one variable of the Rieger-Nishimura ladder:
+    p0, ~p0, then N(2k+3) = N(2k+1) | N(2k+2) and
+    N(2k+4) = N(2k+3) -> N(2k+1)."""
+    odd, even = var(0), neg(var(0))
+    for _ in range((n - 1) // 2):
+        odd, even = Or(odd, even), Implies(Or(odd, even), odd)
+    return odd if n % 2 else even
 
 
 def run_cli(capsys, *argv):
@@ -185,10 +195,24 @@ class TestModelCommands:
         assert doc["model"]["val"] == {"p0": [1]}
 
     def test_countermodel_absent_exit_3(self, capsys):
-        code, out, _ = run_cli(capsys, "countermodel", "p0 -> p0",
-                               "--max-worlds", "4")
+        # refutable, but every countermodel has three or more worlds
+        code, out, _ = run_cli(capsys, "countermodel", "~p0 | ~~p0",
+                               "--max-worlds", "2")
         assert code == 3
-        assert json.loads(out)["model"] is None
+        assert json.loads(out) == {"model": None, "world": None,
+                                   "max_worlds": 2}
+
+    @pytest.mark.parametrize("max_worlds", ["4", "7"])
+    def test_countermodel_of_provable_input_exit_0(self, capsys, max_worlds):
+        # at 7 worlds the search stops at its frame cap first
+        code, out, _ = run_cli(capsys, "countermodel", "p1 -> p0",
+                               "--gamma", "p0", "--max-worlds", max_worlds)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["model"] is None and doc["world"] is None
+        assert ("reason" in doc) == (max_worlds == "7")
+        proof = proof_from_json(doc["proof"])
+        assert check([var(0)], proof) == Implies(var(1), var(0))
 
     def test_countermodel_past_the_cap_exit_3(self, capsys):
         # 2^18 valuations on one world are past the search's fixed cap
@@ -204,9 +228,11 @@ class TestModelCommands:
 
     def test_countermodel_past_the_frame_cap_exit_3(self, capsys):
         # 6 worlds have more labeled preorders than the cap, so the search
-        # stops there instead of building them
+        # stops there instead of building them; the formula is refutable,
+        # but by no model of 5 or fewer worlds
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "countermodel", "p0 -> p0",
+        code, out, _ = run_cli(capsys, "countermodel",
+                               render(rieger_nishimura(11)),
                                "--max-worlds", "7")
         assert time.perf_counter() - start < 1.0
         assert code == 3
@@ -373,7 +399,7 @@ class TestDeterminism:
             assert first == second
 
     def test_output_is_json_for_non_usage_exits(self):
-        code, out = self.run_bytes("countermodel", "p0 -> p0",
+        code, out = self.run_bytes("countermodel", "~p0 | ~~p0",
                                    "--max-worlds", "2")
         assert code == 3
         json.loads(out)
@@ -391,6 +417,26 @@ class TestDeterminism:
         stale = self.run_child(*argv, budget="worlds=1")
         assert stale.returncode == 2
         assert stale.stdout == b"" and b"IPLKIT_BUDGET" in stale.stderr
+
+
+class TestUniverseSizes:
+    """The universe commands reject a negative size, and a universe past
+    theories.MAX_UNIVERSE before building it, as usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["saturate-pair", "--vars", "1", "--depth", "-1"],
+        ["quotient", "--vars", "-1", "--depth", "1"],
+        ["universe", "--vars", "-3", "--depth", "0"],
+        ["universe", "--vars", "3", "--depth", "3"],
+        ["saturate-pair", "--vars", "2", "--depth", "3"],
+        ["quotient", "--vars", "7", "--depth", "2"],
+    ])
+    def test_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.strip() and "Traceback" not in err
 
 
 def run_module(*argv):
@@ -546,6 +592,8 @@ class TestTracedBindings:
                                 "--avoid", "1"]),
         ("closed_set_algebra", ["bridge", "k2a", "{model}"]),
         ("validity_harness", ["harness", "--formula", "p0 -> p0"]),
+        ("Oracle", ["countermodel", "p0 -> p0", "--max-worlds", "1"]),
+        ("proof_to_json", ["countermodel", "p0 -> p0", "--max-worlds", "1"]),
     ])
     def test_wrapper_runs(self, monkeypatch, capsys, tmp_path, c3_file,
                           chain2_file, name, argv):

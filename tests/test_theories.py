@@ -13,6 +13,7 @@ from iplkit.kripke import (_LABELED_PREORDERS, CountermodelSearchTooLarge,
                            make_model, model_from_json, model_to_json,
                            validate_model)
 from iplkit.proof import Premise, check, proof_to_json
+from iplkit import theories
 from iplkit.prover import Prover
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
                              Provable, Refuted, Unknown,
@@ -67,6 +68,31 @@ class TestUniverse:
     def test_membership(self):
         u = canonical_universe(1, 0)
         assert p0 in u and BOT in u and p1 not in u
+
+    @pytest.mark.parametrize("num_vars,depth", [(-1, 1), (1, -1), (-2, -2)])
+    def test_rejects_negative_sizes(self, num_vars, depth):
+        with pytest.raises(ValueError, match="must not be negative"):
+            canonical_universe(num_vars, depth)
+
+    @pytest.mark.parametrize("num_vars,depth", [(3, 3), (7, 2), (0, 4),
+                                                (10 ** 6, 0), (0, 10 ** 9)])
+    def test_rejects_universes_past_the_cap(self, num_vars, depth):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds MAX_UNIVERSE"):
+            canonical_universe(num_vars, depth)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("num_vars,depth,size", [
+        (0, 0, 1), (2, 1, 30), (1, 2, 590), (2, 2, 2703), (0, 3, 7204)])
+    def test_cap_counts_the_universe_exactly(self, monkeypatch, num_vars,
+                                             depth, size):
+        # the size is computed before building: a cap of exactly the
+        # universe's size admits it, one less rejects it
+        monkeypatch.setattr(theories, "MAX_UNIVERSE", size)
+        assert len(canonical_universe(num_vars, depth)) == size
+        monkeypatch.setattr(theories, "MAX_UNIVERSE", size - 1)
+        with pytest.raises(ValueError):
+            canonical_universe(num_vars, depth)
 
 
 class TestFolds:

@@ -13,12 +13,14 @@ import subprocess
 import sys
 import time
 
+import pytest
 from reference_prover import ReferenceProver
 from test_countermodel_family import KREISEL_PUTNAM, bd
 
 import iplkit
 from iplkit.formula import BOT, And, Implies, Or, neg, render, var
-from iplkit.proof import Expansion, _children, check, proof_to_json
+from iplkit.proof import (Expansion, ModusPonens, Premise, _children, check,
+                          proof_to_json)
 from iplkit.theories import Oracle, Provable, canonical_universe
 
 p0, p1, p2, p3 = var(0), var(1), var(2), var(3)
@@ -140,6 +142,37 @@ def test_witnesses_stay_small():
     assert isinstance(verdict, Provable)
     assert dag_size(verdict.witness) < 10_000
     assert dag_size(Oracle().provable([], CURRYING_3).witness) < 1_000
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_witness_is_closed(n):
+    # at the root the replay builds closed proofs from the premises: the
+    # chain's witness is n modus ponens steps over its n + 1 premises
+    gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+    witness = Oracle().provable(gamma, var(n)).witness
+    assert dag_size(witness) == 2 * n + 1
+    node = witness
+    for i in range(n, 0, -1):
+        assert isinstance(node, ModusPonens)
+        assert node.major == Premise(Implies(var(i - 1), var(i)))
+        node = node.minor
+    assert node == Premise(p0)
+
+
+def test_premise_goal_is_its_own_witness():
+    assert Oracle().provable([p0], p0).witness == Premise(p0)
+    assert Oracle().provable([p1, p0], p0).witness == Premise(p0)
+
+
+# The total witness DAG size of named_laws(): a change that grows the
+# witnesses fails here.
+NAMED_LAWS_NODES = 984
+
+
+def test_named_law_witnesses_do_not_grow():
+    total = sum(dag_size(Oracle().provable(gamma, phi).witness)
+                for gamma, phi in named_laws())
+    assert total <= NAMED_LAWS_NODES
 
 
 def test_unused_disjunct_is_not_split():

@@ -66,9 +66,22 @@ class _Node:
         return _rebuild, (_program(self),)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}"
-                           for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # Class(field=value, ...) text emitted from a stack of pieces, so
+        # that a formula of any depth has a repr
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, _Node):
+                pieces = [f"{type(item).__name__}("]
+                for i, f in enumerate(item.__match_args__):
+                    pieces += [f"{', ' if i else ''}{f}=", getattr(item, f)]
+                pieces.append(")")
+                stack += reversed(pieces)
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 def _intern(cls, key, values: tuple, hash_value: int, vars_mask: int):

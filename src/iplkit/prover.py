@@ -16,6 +16,10 @@ surfaced as SearchBudgetExceeded so callers can report an inconclusive
 verdict instead of a wrong one.  G4ip terminates, so a search that fails
 is a refutation: countermodel reads a finite Kripke countermodel off the
 failed search's memo.
+
+A whole run of the single-successor invertible left rules is one search
+step: one memo entry, whose sub-sequent is the saturated premise set,
+and one level of the depth budget.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .proof import (ContractionConj, Exfalso, Exportation, Importation,
 DEFAULT_MAX_DEPTH = 512
 
 # Rules of a phase-1 memo entry (rule, principal premise, sub-sequents,
-# used premises).  _LEFT is an invertible left rule that adds formulas in
-# place of its premise; _SAME proves a sequent by its one sub-sequent when
-# the sub-derivation uses nothing that the rule added.
+# used premises).  _LEFT is a run of invertible left rules, each adding
+# formulas in place of its premise; its second slot lists (premise, added
+# formulas the sub-derivation uses) for each rule that matters, in order.
+# _SAME proves a sequent by one sub-sequent when the sub-derivation uses
+# nothing that the rules added.
 _ID, _EXFALSO, _SAME, _IMP_R, _AND_R, _OR_R1, _OR_R2, _LEFT, _OR_L, \
     _IMP_IMP_L = range(10)
 
@@ -171,7 +177,10 @@ class Prover:
             ctx.facts[delta.rhs] = ModusPonens(p, q) if c is None \
                 else _s_rule(c, delta.lhs, delta.rhs, p, q)
         if rule == _LEFT:
-            self._add_facts(ctx, delta, subs[0], key)
+            for d, fs in delta:
+                for f in fs:
+                    if not ctx.provides(f):
+                        ctx.facts[f] = _left_fact(ctx, d, f)
         return (yield ctx, subs[-1])
 
     def _add_facts(self, ctx: "_Context", delta: Formula, sub: tuple,
@@ -187,7 +196,11 @@ def _search(prem: frozenset, goal: Formula):
     """The phase-1 rule for prem |- goal, as a generator that yields
     (None, sub-sequent) for each sub-derivation it needs, is sent that
     sequent's memo entry, and returns the memo entry of prem |- goal:
-    None when it is not provable."""
+    None when it is not provable.  After the axioms and the goal-directed
+    rules comes one run of single-successor invertible left rules
+    (_saturate), as one step whose sub-sequent is the saturated premise
+    set; a saturated sequent splits its first disjunction premise, then
+    tries the choice points."""
     if goal in prem:
         return (_ID, None, (), frozenset((goal,)))
     if BOT in prem:
@@ -209,8 +222,15 @@ def _search(prem: frozenset, goal: Formula):
             return None
         return (_AND_R, None, (k1, k2), s1[3] | s2[3])
 
-    # invertible premise rules: commit to the first applicable one
-    for delta in sorted(prem, key=order_key):
+    # invertible premise rules: one run of the single-successor ones,
+    # else a split on the first disjunction
+    order = sorted(prem, key=order_key)
+    for start, delta in enumerate(order):
+        if _adds(delta, prem) is not None:
+            key, steps = _saturate(prem, goal, order, start)
+            sub = yield None, key
+            return None if sub is None else _run_entry(key, steps, sub[3])
+    for delta in order:
         if isinstance(delta, Or):
             a, b = delta.lhs, delta.rhs
             rest = prem - {delta}
@@ -227,20 +247,6 @@ def _search(prem: frozenset, goal: Formula):
                 return (_SAME, None, (k2,), s2[3])
             return (_OR_L, delta, (k1, k2),
                     (s1[3] - {a}) | (s2[3] - {b}) | {delta})
-        new = _adds(delta, prem)
-        if new is None:
-            continue
-        rest = prem - {delta}
-        key = (rest.union(new), goal)
-        sub = yield None, key
-        if sub is None:
-            return None
-        if sub[3] <= rest:
-            return (_SAME, None, (key,), sub[3])
-        # an atomic antecedent is a premise the new fact is built from
-        needs = {delta, delta.lhs} if isinstance(delta, Implies) \
-            and isinstance(delta.lhs, Variable) else {delta}
-        return (_LEFT, delta, (key,), (sub[3] & rest) | needs)
 
     # choice points: disjunctive goal, then nested-implication premises
     if isinstance(goal, Or):
@@ -250,7 +256,7 @@ def _search(prem: frozenset, goal: Formula):
             if sub is not None:
                 return (rule, None, (key,), sub[3])
 
-    for delta in sorted(prem, key=order_key):
+    for delta in order:
         if not (isinstance(delta, Implies) and isinstance(delta.lhs, Implies)):
             continue
         inner, body = delta.lhs, delta.rhs
@@ -271,14 +277,72 @@ def _search(prem: frozenset, goal: Formula):
     return None
 
 
+def _saturate(prem: frozenset, goal: Formula, order: list,
+              start: int) -> tuple:
+    """(sub-sequent, steps) for the run of single-successor invertible
+    left rules on prem |- goal whose first rule applies to order[start].
+    The run walks the premises in order, then the formulas its rules add,
+    first in first out; an implication whose atomic antecedent is absent
+    waits until that atom is added.  It stops once no rule applies or the
+    goal or bot is a premise.  steps lists (principal premise, formulas
+    it added) in the order the rules applied."""
+    cur = set(prem)
+    waiting: dict = {}      # absent atom -> implications waiting for it
+    for delta in order[:start]:
+        if isinstance(delta, Implies) and isinstance(delta.lhs, Variable):
+            waiting.setdefault(delta.lhs, []).append(delta)
+    queue = order[start:]
+    steps = []
+    for delta in queue:     # the queue grows at its end as the loop runs
+        new = _adds(delta, cur)
+        if new is None:
+            if isinstance(delta, Implies) and isinstance(delta.lhs, Variable):
+                waiting.setdefault(delta.lhs, []).append(delta)
+            continue
+        cur.discard(delta)
+        added = [f for f in new if f not in cur]
+        cur.update(added)
+        queue += added
+        if waiting:
+            for f in added:
+                if f in waiting:
+                    queue += waiting.pop(f)
+        steps.append((delta, added))
+        if goal in added or BOT in added:
+            break
+    return (frozenset(cur), goal), steps
+
+
+def _run_entry(key: tuple, steps: list, used: frozenset) -> tuple:
+    """The memo entry of a run whose sub-sequent key used the premises
+    used, from one backward pass over its steps with the rule of a single
+    left step: a step matters when the sub-derivation uses a formula it
+    added, and then uses its principal premise, and an atomic antecedent,
+    in their place."""
+    facts, need = [], set(used)
+    for delta, added in reversed(steps):
+        fs = [f for f in added if f in need]
+        if fs:
+            need.difference_update(fs)
+            need.add(delta)
+            if isinstance(delta, Implies) and isinstance(delta.lhs, Variable):
+                need.add(delta.lhs)
+            facts.append((delta, fs))
+    if not facts:
+        return (_SAME, None, (key,), used)
+    facts.reverse()
+    return (_LEFT, tuple(facts), (key,), frozenset(need))
+
+
 def _refutation(memo: dict, key: tuple) -> tuple:
     """(subs, own) for a failed sequent, read from the search memo by
     replaying _search on it.  own is False when a countermodel of the
     failed sequent subs[0] refutes key too: an invertible rule's failed
-    premise, or the failed second premise of a nested-implication rule
-    whose first premise was proved.  Otherwise key is irreducible: its
-    own world sits below countermodels of the failed sequents subs, its
-    disjunct goals and the first premises of its nested implications."""
+    premise (a run of left rules is one such rule), or the failed second
+    premise of a nested-implication rule whose first premise was proved.
+    Otherwise key is irreducible: its own world sits below countermodels
+    of the failed sequents subs, its disjunct goals and the first
+    premises of its nested implications."""
     prem, goal = key
     tried, job, value = [], _search(prem, goal), None
     try:

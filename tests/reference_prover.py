@@ -1,8 +1,10 @@
 """The premise-based witness builder, kept as a test reference.
 
-The same G4ip search as iplkit.prover, with the same rule order, but
-every success is rebuilt at once into a proof from the sequent's own
-premises: implication introduction and disjunction splits discharge a
+The G4ip search of iplkit.prover, one rule per sequent: where the
+prover applies a whole run of invertible left rules as one step, this
+applies the first applicable rule in order_key order and searches the
+sequent it yields.  Every success is rebuilt at once into a proof from
+the sequent's own premises: implication introduction and disjunction splits discharge a
 premise by the deduction theorem, and the left rules substitute a
 derivation for the premise they add.  Each deduction folds its whole
 sub-proof, and each substitution walks the whole proof.

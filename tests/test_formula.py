@@ -206,6 +206,16 @@ def nested_tuples(phi):
     return phi
 
 
+def recursive_repr(phi):
+    """The text of the generated dataclass repr, one call per connective:
+    the reference for the iterative repr."""
+    if not isinstance(phi, (And, Or, Implies, Variable, Bottom)):
+        return repr(phi)
+    fields = ", ".join(f"{f}={recursive_repr(getattr(phi, f))}"
+                       for f in phi.__match_args__)
+    return f"{type(phi).__name__}({fields})"
+
+
 def implication_chain(n, last=p0):
     phi = last
     for _ in range(n):
@@ -246,6 +256,20 @@ class TestInterning:
     def test_repr(self):
         assert repr(Implies(p0, BOT)) == \
             "Implies(lhs=Variable(var=Var(index=0)), rhs=Bottom())"
+
+    def test_repr_is_the_recursive_text(self):
+        for phi in all_formulas(2, 2) + [implication_chain(50, BOT)]:
+            assert repr(phi) == recursive_repr(phi)
+
+    def test_repr_of_deep_formulas(self):
+        # pytest prints a failed assertion's values with repr, so a deep
+        # formula, or a verdict holding one, must have one
+        phi = implication_chain(5000)
+        text = repr(phi)
+        assert text == "Implies(lhs=Variable(var=Var(index=0)), rhs=" * 5000 \
+            + "Variable(var=Var(index=0))" + ")" * 5000
+        verdict = Oracle().provable([phi], phi)
+        assert repr(verdict) == f"Provable(witness=Premise(formula={text}))"
 
     def test_two_threads_build_one_chain(self):
         # a variable no other test uses, so the chain is new to the table

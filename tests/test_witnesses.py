@@ -1,7 +1,7 @@
 """Oracle witnesses, replayed relative to a context, against the
 premise-based reference builder in reference_prover.py.
 
-Both run the same search, so they must agree on every verdict; their
+Both decide G4ip, so they must agree on every verdict; their
 witnesses differ in shape, and each must pass the kernel.  Witnesses
 must also be reproducible byte for byte and stay small.
 """

@@ -5,10 +5,17 @@ formulas that instantiate their schema, so checking is a total fold that
 either returns the conclusion or reports the offending node by its
 root-to-node child-index path.  The fold checks each node once and keeps
 only its conclusion; the path is recovered by a second walk when a check
-fails.  On top of the thirteen primitive node
+fails.  Formulas are hash-consed, so the fold finds each conclusion in
+formula._TABLE by its structure key and calls a constructor only for a
+formula that is not interned yet.  On top of the thirteen primitive node
 kinds the module provides a catalog of derived rules (every entry builds
 a term the checker accepts) and the deduction theorem as a proof
 transformation.
+
+Node classes are frozen dataclasses whose __init__ and __repr__ are made
+here from NODE_KINDS: the __init__ stores each field through
+object.__setattr__, and the __repr__ gives the dataclass text for a proof
+of any depth.
 """
 
 from __future__ import annotations
@@ -17,77 +24,96 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .formula import And, BOT, Formula, Implies, Or, parse, postorder, render
+from .formula import (_TABLE, And, BOT, Formula, Implies, Or, parse,
+                      postorder, render)
+
+# Frozen dataclasses whose __init__ and __repr__ _make_methods adds below.
+# Each class has a docstring: without one, dataclass would build one from
+# the signature, which costs import time.
+_node = dataclass(frozen=True, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Premise:
+    """gamma |- formula, for formula in gamma"""
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ContractionDisj:
+    """Axiom |- formula | formula -> formula"""
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ContractionConj:
+    """Axiom |- formula -> formula & formula"""
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class WeakeningDisj:
+    """Axiom |- first -> first | second"""
     first: Formula
     second: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class WeakeningConj:
+    """Axiom |- first & second -> first"""
     first: Formula
     second: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class PermutationDisj:
+    """Axiom |- first | second -> second | first"""
     first: Formula
     second: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class PermutationConj:
+    """Axiom |- first & second -> second & first"""
     first: Formula
     second: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Exfalso:
+    """Axiom |- bot -> formula"""
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ModusPonens:
+    """From minor: a and major: a -> b, infer b."""
     minor: "ProofTerm"
     major: "ProofTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class Syllogism:
+    """From first: a -> b and second: b -> c, infer a -> c."""
     first: "ProofTerm"
     second: "ProofTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class Exportation:
+    """From sub: a & b -> c, infer a -> (b -> c)."""
     sub: "ProofTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class Importation:
+    """From sub: a -> (b -> c), infer a & b -> c."""
     sub: "ProofTerm"
 
 
-@dataclass(frozen=True)
+@_node
 class Expansion:
+    """From sub: a -> b, infer disjunct | a -> disjunct | b."""
     disjunct: Formula
     sub: "ProofTerm"
 
@@ -100,14 +126,15 @@ ProofTerm = Union[
 
 
 class NodeKind(NamedTuple):
-    """A node class as the kernel and the JSON format see it."""
+    """A node class as the kernel, the JSON format and the generated
+    __init__ and __repr__ see it."""
 
-    rule: str                   # the name on the wire
-    formulas: tuple             # the Formula fields, in constructor order
-    subproofs: tuple            # the ProofTerm fields, after the formulas
-    schema: Optional[Callable]  # an axiom's conclusion from its formulas
-    formula_values: Callable    # node -> the values of its formula fields
-    children: Callable          # node -> its subproofs
+    rule: str                       # the name on the wire
+    formulas: tuple                 # the Formula fields, in constructor order
+    subproofs: tuple                # the ProofTerm fields, after the formulas
+    conclusion: Optional[Callable]  # an axiom node -> its conclusion
+    formula_values: Callable        # node -> the values of its formula fields
+    children: Callable              # node -> its subproofs
 
 
 def _getter(names: tuple) -> Callable:
@@ -118,28 +145,86 @@ def _getter(names: tuple) -> Callable:
     return attrgetter(*names) if names else lambda node: ()
 
 
-def _kind(cls, rule: str, schema: Optional[Callable]) -> NodeKind:
+def _kind(cls, rule: str, conclusion: Optional[Callable]) -> NodeKind:
     """The fields annotated Formula are the formulas; the fields after
     them are the subproofs."""
     formulas = tuple(f.name for f in fields(cls) if f.type == "Formula")
     subproofs = tuple(f.name for f in fields(cls))[len(formulas):]
-    return NodeKind(rule, formulas, subproofs, schema, _getter(formulas),
+    return NodeKind(rule, formulas, subproofs, conclusion, _getter(formulas),
                     _getter(subproofs))
 
 
+# The interned formula under a structure key, (class, id(lhs), id(rhs)),
+# or None.  The kernel builds a connective by its constructor only on
+# None: most conclusions are interned already, and the lookup saves the
+# constructor's frame.
+_interned = _TABLE.get
+
+
+# The seven axioms, each an axiom node -> its conclusion.
+
+def _contraction_disj(node) -> Formula:
+    """f | f -> f"""
+    f = node.formula
+    ff = _interned((Or, id(f), id(f))) or Or(f, f)
+    return _interned((Implies, id(ff), id(f))) or Implies(ff, f)
+
+
+def _contraction_conj(node) -> Formula:
+    """f -> f & f"""
+    f = node.formula
+    ff = _interned((And, id(f), id(f))) or And(f, f)
+    return _interned((Implies, id(f), id(ff))) or Implies(f, ff)
+
+
+def _weakening_disj(node) -> Formula:
+    """a -> a | b"""
+    a, b = node.first, node.second
+    ab = _interned((Or, id(a), id(b))) or Or(a, b)
+    return _interned((Implies, id(a), id(ab))) or Implies(a, ab)
+
+
+def _weakening_conj(node) -> Formula:
+    """a & b -> a"""
+    a, b = node.first, node.second
+    ab = _interned((And, id(a), id(b))) or And(a, b)
+    return _interned((Implies, id(ab), id(a))) or Implies(ab, a)
+
+
+def _permutation_disj(node) -> Formula:
+    """a | b -> b | a"""
+    a, b = node.first, node.second
+    ab = _interned((Or, id(a), id(b))) or Or(a, b)
+    ba = _interned((Or, id(b), id(a))) or Or(b, a)
+    return _interned((Implies, id(ab), id(ba))) or Implies(ab, ba)
+
+
+def _permutation_conj(node) -> Formula:
+    """a & b -> b & a"""
+    a, b = node.first, node.second
+    ab = _interned((And, id(a), id(b))) or And(a, b)
+    ba = _interned((And, id(b), id(a))) or And(b, a)
+    return _interned((Implies, id(ab), id(ba))) or Implies(ab, ba)
+
+
+def _exfalso(node) -> Formula:
+    """bot -> f"""
+    f = node.formula
+    return _interned((Implies, id(BOT), id(f))) or Implies(BOT, f)
+
+
 # Every node kind, each written down once.  The seven axioms carry the
-# schema that gives their conclusion; the checker holds the five rules.
-NODE_KINDS = {cls: _kind(cls, rule, schema) for cls, rule, schema in (
+# function that gives their conclusion; the checker holds the five rules.
+NODE_KINDS = {cls: _kind(cls, rule, conclusion)
+              for cls, rule, conclusion in (
     (Premise, "premise", None),
-    (ContractionDisj, "contraction_disj", lambda f: Implies(Or(f, f), f)),
-    (ContractionConj, "contraction_conj", lambda f: Implies(f, And(f, f))),
-    (WeakeningDisj, "weakening_disj", lambda a, b: Implies(a, Or(a, b))),
-    (WeakeningConj, "weakening_conj", lambda a, b: Implies(And(a, b), a)),
-    (PermutationDisj, "permutation_disj",
-     lambda a, b: Implies(Or(a, b), Or(b, a))),
-    (PermutationConj, "permutation_conj",
-     lambda a, b: Implies(And(a, b), And(b, a))),
-    (Exfalso, "exfalso", lambda f: Implies(BOT, f)),
+    (ContractionDisj, "contraction_disj", _contraction_disj),
+    (ContractionConj, "contraction_conj", _contraction_conj),
+    (WeakeningDisj, "weakening_disj", _weakening_disj),
+    (WeakeningConj, "weakening_conj", _weakening_conj),
+    (PermutationDisj, "permutation_disj", _permutation_disj),
+    (PermutationConj, "permutation_conj", _permutation_conj),
+    (Exfalso, "exfalso", _exfalso),
     (ModusPonens, "modus_ponens", None),
     (Syllogism, "syllogism", None),
     (Exportation, "exportation", None),
@@ -147,14 +232,59 @@ NODE_KINDS = {cls: _kind(cls, rule, schema) for cls, rule, schema in (
     (Expansion, "expansion", None),
 )}
 
+
+def _repr(self) -> str:
+    """Class(field=value, ...), the text the dataclass __repr__ gives,
+    emitted from a stack of pieces so that a proof of any depth has a
+    repr.  A piece is text, or a node still to be written out."""
+    out, stack = [], [self]
+    while stack:
+        item = stack.pop()
+        kind = NODE_KINDS.get(type(item))
+        if kind is None:
+            out.append(item)
+            continue
+        pieces = [f"{type(item).__qualname__}("]
+        for i, name in enumerate(kind.formulas + kind.subproofs):
+            value = getattr(item, name)
+            pieces += [f"{', ' if i else ''}{name}=",
+                       value if type(value) in NODE_KINDS else repr(value)]
+        pieces.append(")")
+        stack += reversed(pieces)
+    return "".join(out)
+
+
+def _make_methods() -> None:
+    """Give every node class an __init__ with one parameter per field,
+    in field order, that stores each through object.__setattr__ (the
+    classes are frozen), and _repr as its __repr__.  One exec defines
+    all the __init__s."""
+    source = []
+    for cls, kind in NODE_KINDS.items():
+        names = kind.formulas + kind.subproofs
+        source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
+        source += [f"    _set(self, {name!r}, {name})" for name in names]
+    scope: dict = {}
+    exec("\n".join(source), {"_set": object.__setattr__, "__name__": __name__},
+         scope)
+    for cls in NODE_KINDS:
+        init = scope[cls.__name__]
+        init.__name__ = "__init__"
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls.__repr__ = _repr
+
+
+_make_methods()
+
 _BY_RULE = {kind.rule: cls for cls, kind in NODE_KINDS.items()}
 
 # A missing conclusion, told apart from any value a Premise can carry.
 _TODO = object()
 
-# axiom class -> (schema, formula getter), for the checker
-_AXIOMS = {cls: (kind.schema, kind.formula_values)
-           for cls, kind in NODE_KINDS.items() if kind.schema is not None}
+# axiom class -> its conclusion function, for the checker
+_AXIOMS = {cls: kind.conclusion for cls, kind in NODE_KINDS.items()
+           if kind.conclusion is not None}
 
 
 class ProofError(Exception):
@@ -197,9 +327,10 @@ def _conclusions(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
     subproofs, so DAG-shaped proofs stay linear.  The ids are valid while
     proof lives.  With gamma=None, premise membership is not enforced
     (pure shape inference).  No paths are kept: on a failure, _path_to
-    finds the failing node's."""
+    finds the failing node's.  Each new connective is looked up by its
+    structure key, as in _interned, before its constructor is called."""
     out: dict = {}
-    get, todo = out.get, _TODO
+    get, todo, interned = out.get, _TODO, _interned
     stack = [proof]
     push, pop = stack.append, stack.pop
     while stack:
@@ -214,29 +345,38 @@ def _conclusions(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
                 if second is todo:
                     push(node.second)
                 continue
-            if not (isinstance(first, Implies) and isinstance(second, Implies)
+            if not (type(first) is Implies and type(second) is Implies
                     and first.rhs is second.lhs):
                 raise _mismatch(proof, node, (first, second))
-            concl = Implies(first.lhs, second.rhs)
+            a, c = first.lhs, second.rhs
+            concl = interned((Implies, id(a), id(c))) or Implies(a, c)
         elif t is Exportation or t is Importation or t is Expansion:
             sub = get(id(node.sub), todo)
             if sub is todo:
                 push(node.sub)
                 continue
             if t is Exportation:
-                if not (isinstance(sub, Implies) and isinstance(sub.lhs, And)):
+                # a & b -> c  gives  a -> (b -> c)
+                if not (type(sub) is Implies and type(sub.lhs) is And):
                     raise _mismatch(proof, node, (sub,))
-                concl = Implies(sub.lhs.lhs, Implies(sub.lhs.rhs, sub.rhs))
+                a, b, c = sub.lhs.lhs, sub.lhs.rhs, sub.rhs
+                bc = interned((Implies, id(b), id(c))) or Implies(b, c)
+                concl = interned((Implies, id(a), id(bc))) or Implies(a, bc)
             elif t is Importation:
-                if not (isinstance(sub, Implies)
-                        and isinstance(sub.rhs, Implies)):
+                # a -> (b -> c)  gives  a & b -> c
+                if not (type(sub) is Implies and type(sub.rhs) is Implies):
                     raise _mismatch(proof, node, (sub,))
-                concl = Implies(And(sub.lhs, sub.rhs.lhs), sub.rhs.rhs)
+                a, b, c = sub.lhs, sub.rhs.lhs, sub.rhs.rhs
+                ab = interned((And, id(a), id(b))) or And(a, b)
+                concl = interned((Implies, id(ab), id(c))) or Implies(ab, c)
             else:
-                if not isinstance(sub, Implies):
+                # a -> b  gives  d | a -> d | b
+                if type(sub) is not Implies:
                     raise _mismatch(proof, node, (sub,))
-                concl = Implies(Or(node.disjunct, sub.lhs),
-                                Or(node.disjunct, sub.rhs))
+                d, a, b = node.disjunct, sub.lhs, sub.rhs
+                da = interned((Or, id(d), id(a))) or Or(d, a)
+                db = interned((Or, id(d), id(b))) or Or(d, b)
+                concl = interned((Implies, id(da), id(db))) or Implies(da, db)
         elif t is ModusPonens:
             minor = get(id(node.minor), todo)
             major = get(id(node.major), todo)
@@ -246,7 +386,7 @@ def _conclusions(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
                 if major is todo:
                     push(node.major)
                 continue
-            if not (isinstance(major, Implies) and major.lhs is minor):
+            if not (type(major) is Implies and major.lhs is minor):
                 raise _mismatch(proof, node, (minor, major))
             concl = major.rhs
         elif t is Premise:
@@ -254,11 +394,11 @@ def _conclusions(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
             if gamma is not None and concl not in gamma:
                 raise PremiseNotInContext(concl, _path_to(proof, node))
         else:
-            axiom = _AXIOMS.get(t)
-            if axiom is None:
+            conclude = _AXIOMS.get(t)
+            if conclude is None:
                 raise ProofError(f"unknown node {t.__name__}",
                                  _path_to(proof, node))
-            concl = axiom[0](*axiom[1](node))
+            concl = conclude(node)
         out[id(node)] = concl
         pop()
     return out
@@ -522,12 +662,12 @@ def _implication_shape(p: ProofTerm, rule: str) -> Implies:
 
 
 def and_intro(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of phi and psi, a proof of phi & psi."""
+    """From proofs of phi and psi, infer a proof of phi & psi."""
     return _and_intro(infer_conclusion(p), infer_conclusion(q), p, q)
 
 
 def or_elim(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of phi -> chi and psi -> chi, a proof of phi | psi -> chi."""
+    """From proofs of phi -> chi and psi -> chi, infer a proof of phi | psi -> chi."""
     cp = _implication_shape(p, "or_elim")
     cq = _implication_shape(q, "or_elim")
     if cp.rhs != cq.rhs:
@@ -536,19 +676,19 @@ def or_elim(p: ProofTerm, q: ProofTerm) -> ProofTerm:
 
 
 def conj_monotone(chi: Formula, p: ProofTerm) -> ProofTerm:
-    """From a proof of phi -> psi, a proof of chi & phi -> chi & psi."""
+    """From a proof of phi -> psi, infer a proof of chi & phi -> chi & psi."""
     c = _implication_shape(p, "conj_monotone")
     return _conj_monotone(chi, c.lhs, c.rhs, p)
 
 
 def conj_monotone_left(chi: Formula, p: ProofTerm) -> ProofTerm:
-    """From a proof of phi -> psi, a proof of phi & chi -> psi & chi."""
+    """From a proof of phi -> psi, infer a proof of phi & chi -> psi & chi."""
     c = _implication_shape(p, "conj_monotone_left")
     return _conj_monotone_left(chi, c.lhs, c.rhs, p)
 
 
 def and_compose(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of x -> b and x -> c, a proof of x -> b & c."""
+    """From proofs of x -> b and x -> c, infer a proof of x -> b & c."""
     cp = _implication_shape(p, "and_compose")
     cq = _implication_shape(q, "and_compose")
     if cp.lhs != cq.lhs:
@@ -557,7 +697,7 @@ def and_compose(p: ProofTerm, q: ProofTerm) -> ProofTerm:
 
 
 def imp_swap(p: ProofTerm) -> ProofTerm:
-    """From a proof of a -> (b -> c), a proof of b -> (a -> c)."""
+    """From a proof of a -> (b -> c), infer a proof of b -> (a -> c)."""
     c = _implication_shape(p, "imp_swap")
     if not isinstance(c.rhs, Implies):
         raise RuleShapeMismatch("imp_swap", (c,), ())
@@ -565,7 +705,7 @@ def imp_swap(p: ProofTerm) -> ProofTerm:
 
 
 def s_rule(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of chi -> a and chi -> (a -> b), a proof of chi -> b."""
+    """From proofs of chi -> a and chi -> (a -> b), infer a proof of chi -> b."""
     cp = _implication_shape(p, "s_rule")
     cq = _implication_shape(q, "s_rule")
     if not (isinstance(cq.rhs, Implies) and cq.lhs == cp.lhs
@@ -575,7 +715,7 @@ def s_rule(p: ProofTerm, q: ProofTerm) -> ProofTerm:
 
 
 def neg_elim(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of phi and ~phi, a proof of bot."""
+    """From proofs of phi and ~phi, infer a proof of bot."""
     cq = _implication_shape(q, "neg_elim")
     if cq.rhs != BOT or cq.lhs != infer_conclusion(p):
         raise RuleShapeMismatch("neg_elim", (infer_conclusion(p), cq), ())
@@ -583,14 +723,14 @@ def neg_elim(p: ProofTerm, q: ProofTerm) -> ProofTerm:
 
 
 def ex_falso_rule(p: ProofTerm, phi: Formula) -> ProofTerm:
-    """From a proof of bot, a proof of phi."""
+    """From a proof of bot, infer a proof of phi."""
     if infer_conclusion(p) != BOT:
         raise RuleShapeMismatch("ex_falso_rule", (infer_conclusion(p),), ())
     return ModusPonens(p, Exfalso(phi))
 
 
 def iff_intro(p: ProofTerm, q: ProofTerm) -> ProofTerm:
-    """From proofs of phi -> psi and psi -> phi, a proof of phi <-> psi."""
+    """From proofs of phi -> psi and psi -> phi, infer a proof of phi <-> psi."""
     cp = _implication_shape(p, "iff_intro")
     cq = _implication_shape(q, "iff_intro")
     if cp.lhs != cq.rhs or cp.rhs != cq.lhs:
@@ -608,13 +748,13 @@ def _iff_shape(p: ProofTerm, rule: str) -> And:
 
 
 def iff_elim_left(p: ProofTerm) -> ProofTerm:
-    """From a proof of phi <-> psi, a proof of phi -> psi."""
+    """From a proof of phi <-> psi, infer a proof of phi -> psi."""
     c = _iff_shape(p, "iff_elim_left")
     return ModusPonens(p, WeakeningConj(c.lhs, c.rhs))
 
 
 def iff_elim_right(p: ProofTerm) -> ProofTerm:
-    """From a proof of phi <-> psi, a proof of psi -> phi."""
+    """From a proof of phi <-> psi, infer a proof of psi -> phi."""
     c = _iff_shape(p, "iff_elim_right")
     return ModusPonens(p, and_elim_right(c.lhs, c.rhs))
 

@@ -5,16 +5,21 @@ every node carries its root-to-node path; each entry of the table holds
 the node, its conclusion and the frozenset of the premises used below it,
 which the deduction theorem reads to find the nodes above Premise(phi).
 iplkit.proof checks the same proofs with one entry per node and recovers
-a path only when a check fails.
+a path only when a check fails.  The axiom schemas are written here with
+the formula constructors; iplkit.proof looks its conclusions up in the
+formula table instead.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional
 
-from iplkit.formula import And, Formula, Implies, Or, postorder
-from iplkit.proof import (NODE_KINDS, Exportation, Importation, ModusPonens,
-                          Premise, ProofError, ProofTerm, PremiseNotInContext,
+from iplkit.formula import And, BOT, Formula, Implies, Or, postorder
+from iplkit.proof import (NODE_KINDS, ContractionConj, ContractionDisj,
+                          Exfalso, Exportation, Importation, ModusPonens,
+                          PermutationConj, PermutationDisj, Premise,
+                          ProofError, ProofTerm, PremiseNotInContext,
                           RuleShapeMismatch, Syllogism, WeakeningConj,
                           WeakeningDisj, _and_compose, _children,
                           _conj_monotone, _or_elim, _s_rule, and_assoc_left,
@@ -22,6 +27,17 @@ from iplkit.proof import (NODE_KINDS, Exportation, Importation, ModusPonens,
                           identity, k_axiom, or_intro_right)
 
 _NO_PREMISES: frozenset = frozenset()
+
+# axiom class -> its conclusion from the node's fields, in field order
+SCHEMAS = {
+    ContractionDisj: lambda f: Implies(Or(f, f), f),
+    ContractionConj: lambda f: Implies(f, And(f, f)),
+    WeakeningDisj: lambda a, b: Implies(a, Or(a, b)),
+    WeakeningConj: lambda a, b: Implies(And(a, b), a),
+    PermutationDisj: lambda a, b: Implies(Or(a, b), Or(b, a)),
+    PermutationConj: lambda a, b: Implies(And(a, b), And(b, a)),
+    Exfalso: lambda f: Implies(BOT, f),
+}
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -62,8 +78,9 @@ def _conclusion_map(proof: ProofTerm, gamma: Optional[frozenset]) -> dict:
         if kind is None:
             raise ProofError(f"unknown node {type(node).__name__}",
                              _path(link))
-        if kind.schema is not None:
-            concl = kind.schema(*kind.formula_values(node))
+        if type(node) in SCHEMAS:
+            concl = SCHEMAS[type(node)](*(getattr(node, f.name)
+                                          for f in fields(node)))
             free = _NO_PREMISES
         elif type(node) is Premise:
             if gamma is not None and node.formula not in gamma:

@@ -5,19 +5,28 @@ On oracle witnesses, and on copies of them with swapped subproofs,
 premises outside gamma, wrong-shape majors, foreign objects as children
 and extra shared subterms, both kernels must give the same conclusion or
 raise the same error with the same message and path, and the deduction
-theorem must build the same proof.
+theorem must build the same proof.  The kernel looks its conclusions up
+in the formula table, so every axiom and rule is also checked over
+variables the process has never interned, where each lookup misses.
 """
 
+import itertools
 import json
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 import reference_kernel
 from test_witnesses import named_laws, seeded_queries
 
-from iplkit.formula import BOT, Implies, postorder, var
-from iplkit.proof import (NODE_KINDS, Exfalso, ModusPonens, Premise,
-                          Syllogism, WeakeningConj, _children, check,
+from iplkit import formula
+from iplkit.formula import BOT, And, Implies, Or, Variable, postorder, var
+from iplkit.proof import (NODE_KINDS, ContractionConj, ContractionDisj,
+                          Exfalso, Expansion, Exportation, Importation,
+                          ModusPonens, PermutationConj, PermutationDisj,
+                          Premise, RuleShapeMismatch, Syllogism,
+                          WeakeningConj, WeakeningDisj, _children, check,
                           deduction_theorem, infer_conclusion, proof_to_json)
 from iplkit.theories import Oracle, Provable
 
@@ -146,4 +155,87 @@ def test_errors_carry_the_reference_paths():
     for proof in cases:
         for gamma in (frozenset(), frozenset([p0, p1, BOT])):
             assert outcome(check, gamma, proof)[0] != "ok"
+            assert_same(gamma, proof)
+
+
+_INDICES = itertools.count(1_000_000)
+
+
+def fresh():
+    """A variable whose index no formula of this process holds yet."""
+    index = next(i for i in _INDICES if (Variable, i) not in formula._TABLE)
+    return var(index)
+
+
+# name -> (premises, proof) from fresh variables a, b, c, d: the
+# conclusion of each proof but modus ponens' is a formula not yet
+# interned, so each lookup in the formula table misses
+NEW_CONCLUSIONS = {
+    "contraction_disj": lambda a, b, c, d: ([], ContractionDisj(a)),
+    "contraction_conj": lambda a, b, c, d: ([], ContractionConj(a)),
+    "weakening_disj": lambda a, b, c, d: ([], WeakeningDisj(a, b)),
+    "weakening_conj": lambda a, b, c, d: ([], WeakeningConj(a, b)),
+    "permutation_disj": lambda a, b, c, d: ([], PermutationDisj(a, b)),
+    "permutation_conj": lambda a, b, c, d: ([], PermutationConj(a, b)),
+    "exfalso": lambda a, b, c, d: ([], Exfalso(a)),
+    "modus_ponens": lambda a, b, c, d: (
+        [a, Implies(a, b)], ModusPonens(Premise(a), Premise(Implies(a, b)))),
+    "syllogism": lambda a, b, c, d: (
+        [Implies(a, b), Implies(b, c)],
+        Syllogism(Premise(Implies(a, b)), Premise(Implies(b, c)))),
+    "exportation": lambda a, b, c, d: (
+        [Implies(And(a, b), c)], Exportation(Premise(Implies(And(a, b), c)))),
+    "importation": lambda a, b, c, d: (
+        [Implies(a, Implies(b, c))],
+        Importation(Premise(Implies(a, Implies(b, c))))),
+    "expansion": lambda a, b, c, d: (
+        [Implies(a, b)], Expansion(d, Premise(Implies(a, b)))),
+}
+
+
+def test_every_axiom_and_rule_has_new_conclusions():
+    assert sorted(NEW_CONCLUSIONS) == sorted(
+        kind.rule for kind in NODE_KINDS.values() if kind.rule != "premise")
+
+
+@pytest.mark.parametrize("rule", sorted(NEW_CONCLUSIONS))
+def test_conclusions_not_yet_interned(rule):
+    for run in (check, infer_conclusion):
+        gamma, proof = NEW_CONCLUSIONS[rule](fresh(), fresh(), fresh(),
+                                             fresh())
+        args = (gamma, proof) if run is check else (proof,)
+        size = len(formula._TABLE)
+        got = run(*args)
+        # the kernel ran first, so it built the new conclusion
+        assert len(formula._TABLE) > size or rule == "modus_ponens"
+        assert got is getattr(reference_kernel, run.__name__)(*args)
+        assert_same(frozenset(gamma), proof)
+
+
+# name -> a node of that rule whose subproofs do not fit it
+MISMATCHES = {
+    "modus_ponens": [ModusPonens(Premise(p0), Premise(p1)),
+                     ModusPonens(Premise(p1), Exfalso(p0))],
+    "syllogism": [Syllogism(Premise(p0), Exfalso(p1)),
+                  Syllogism(Exfalso(p0), Premise(p1)),
+                  Syllogism(Exfalso(p0), Exfalso(p1))],
+    "exportation": [Exportation(Premise(p0)), Exportation(Exfalso(p0))],
+    "importation": [Importation(Premise(p0)), Importation(Exfalso(p0))],
+    "expansion": [Expansion(p1, Premise(p0))],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MISMATCHES))
+def test_shape_mismatch_matches_reference(rule):
+    gamma = frozenset([p0, p1])
+    for bad in MISMATCHES[rule]:
+        # alone, and below two rule nodes beside a shared subproof
+        shared = Premise(p0)
+        for proof, path in ((bad, ()),
+                            (Exportation(ModusPonens(bad, shared)), (0, 0)),
+                            (Syllogism(Syllogism(shared, bad), shared),
+                             (0, 1))):
+            got = outcome(check, gamma, proof)
+            assert got[0] is RuleShapeMismatch and got[2] == path
+            assert got[1].startswith(f"{rule} does not apply to [")
             assert_same(gamma, proof)

@@ -1,11 +1,16 @@
+import copy
 import dataclasses
+import gc
 import json
 import pathlib
+import pickle
 import typing
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from test_witnesses import named_laws
 
 from iplkit.formula import BOT, And, Implies, Or, neg, parse, render, var
 from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
@@ -21,6 +26,7 @@ from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
                           imp_swap, infer_conclusion, k_axiom, neg_elim,
                           or_elim, or_intro_right, premises, proof_from_json,
                           proof_to_json, s_rule, subst_premise, weaken)
+from iplkit.theories import Oracle, Provable
 
 p0, p1, p2 = var(0), var(1), var(2)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -346,7 +352,7 @@ class TestNodeKinds:
             names = tuple(f.name for f in dataclasses.fields(cls))
             assert names == kind.formulas + kind.subproofs
             axiom = cls is not Premise and not kind.subproofs
-            assert (kind.schema is not None) == axiom
+            assert (kind.conclusion is not None) == axiom
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -418,3 +424,123 @@ class TestDeepProofs:
         with pytest.raises(PremiseNotInContext) as err:
             check([a], bad)
         assert err.value.path == (0,) * 3000
+
+
+def one_of_each():
+    """(class, field names, field values, node) for every node kind; the
+    subproof fields all hold one shared Premise."""
+    sub = Premise(p1)
+    for cls, kind in NODE_KINDS.items():
+        names = kind.formulas + kind.subproofs
+        values = [p0] * len(kind.formulas) + [sub] * len(kind.subproofs)
+        yield cls, names, values, cls(*values)
+
+
+def reference_repr(value) -> str:
+    """The dataclass repr of a proof node, by recursion over its fields."""
+    if type(value) not in NODE_KINDS:
+        return repr(value)
+    return f"{type(value).__qualname__}(" + ", ".join(
+        f"{f.name}={reference_repr(getattr(value, f.name))}"
+        for f in dataclasses.fields(value)) + ")"
+
+
+def law_witnesses() -> list:
+    oracle = Oracle()
+    verdicts = [oracle.provable(gamma, phi) for gamma, phi in named_laws()]
+    return [v.witness for v in verdicts if isinstance(v, Provable)]
+
+
+class TestNodeConstructors:
+    # the kernel module makes each node class's __init__ and __repr__;
+    # the classes must still behave as the frozen dataclasses they are
+
+    def test_keyword_and_positional_construction(self):
+        for cls, names, values, node in one_of_each():
+            assert cls(**dict(zip(names, values))) == node
+            assert [getattr(node, name) for name in names] == values
+            assert vars(node) == dict(zip(names, values))
+            assert [f.name for f in dataclasses.fields(node)] == list(names)
+            with pytest.raises(TypeError):
+                cls(*values, p0)
+            with pytest.raises(TypeError):
+                cls(*values[1:])
+            with pytest.raises(TypeError):
+                cls(*values, **{names[0]: p2})
+
+    def test_replace(self):
+        for cls, names, values, node in one_of_each():
+            changed = dataclasses.replace(node, **{names[0]: p2})
+            assert type(changed) is cls
+            assert changed == cls(p2, *values[1:])
+            assert dataclasses.replace(node) == node
+
+    def test_frozen(self):
+        for cls, names, values, node in one_of_each():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, names[0], p2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, names[-1])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.extra = 1
+            assert vars(node) == dict(zip(names, values))
+
+    def test_eq_and_hash(self):
+        for cls, names, values, node in one_of_each():
+            twin = cls(*values)
+            assert twin == node and twin is not node
+            assert hash(twin) == hash(node) == hash(tuple(values))
+        assert ContractionDisj(p0) != Exfalso(p0)
+        assert ModusPonens(Premise(p0), Premise(p1)) != \
+            ModusPonens(Premise(p1), Premise(p0))
+        assert len({Premise(p0), Premise(p0), Premise(p1)}) == 2
+
+    def test_pickle_and_copy(self):
+        for witness in law_witnesses():
+            for twin in (pickle.loads(pickle.dumps(witness)),
+                         copy.copy(witness), copy.deepcopy(witness)):
+                assert twin == witness
+                assert proof_to_json(twin) == proof_to_json(witness)
+                assert infer_conclusion(twin) is infer_conclusion(witness)
+
+    def test_a_node_is_one_gc_tracked_object(self):
+        # the fields live in the instance, with no dict of their own
+        sub = Premise(p0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            nodes = [ModusPonens(sub, sub) for _ in range(10_000)]
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(nodes) == 10_000
+        assert 10_000 <= added < 10_500
+
+
+class TestRepr:
+    def test_dataclass_text(self):
+        v0 = "Variable(var=Var(index=0))"
+        assert repr(ModusPonens(Premise(p0), Exfalso(p0))) == \
+            f"ModusPonens(minor=Premise(formula={v0}), " \
+            f"major=Exfalso(formula={v0}))"
+        assert repr(Expansion(p0, 42)) == f"Expansion(disjunct={v0}, sub=42)"
+        assert repr(Exportation("x")) == "Exportation(sub='x')"
+        for node in (*(node for *_, node in one_of_each()),
+                     Premise(None), Syllogism(Exfalso(p0), [Premise(p1)])):
+            assert repr(node) == reference_repr(node)
+
+    def test_witnesses_match_reference(self):
+        for witness in law_witnesses():
+            assert repr(witness) == reference_repr(witness)
+
+    def test_deep_verdict(self):
+        # 3000 modus ponens steps deep; the dataclass repr recursed once
+        # per step and raised RecursionError
+        n = 3000
+        gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+        text = repr(Oracle().provable(gamma, var(n)))
+        assert text.startswith("Provable(witness=ModusPonens(minor=")
+        assert text.count("ModusPonens(") == n
+        assert text.count("Premise(") == n + 1

@@ -315,7 +315,8 @@ def _cmd_quotient(args):
             for rep_b in table.representatives:
                 verdict = provably_leq(gamma, rep_a, rep_b, oracle)
                 if not isinstance(verdict, (Holds, Fails)):
-                    return EXIT_UNKNOWN, {"error": "class order undecided"}
+                    return EXIT_UNKNOWN, {
+                        "error": f"class order undecided: {verdict.reason}"}
                 row.append(isinstance(verdict, Holds))
             order.append(row)
     except OracleInconclusive as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import (And, Formula, Implies, Or, encode, render,
+from .formula import (And, Formula, Implies, Or, encode, postorder, render,
                       variable_indices)
 from .kripke import forces, truth_mask
 from .theories import (Fails, FormulaUniverse, Holds, Oracle,
@@ -94,7 +94,7 @@ def build_quotient(gamma, universe: FormulaUniverse,
             if isinstance(verdict, Unknown):
                 raise OracleInconclusive(
                     f"equivalence of {render(phi)} and {render(members[0])} "
-                    "undecided")
+                    f"undecided: {verdict.reason}")
         else:
             candidates.append([phi])
             classes.append(candidates[-1])
@@ -105,7 +105,8 @@ def build_quotient(gamma, universe: FormulaUniverse,
     for rep in reps:
         verdict = oracle.provable(gamma, rep)
         if isinstance(verdict, Unknown):
-            raise OracleInconclusive(f"provability of {render(rep)} undecided")
+            raise OracleInconclusive(f"provability of {render(rep)} "
+                                     f"undecided: {verdict.reason}")
         tops.append(isinstance(verdict, Provable))
     return QuotientTable(gamma, universe, tuple(classes), reps, tuple(tops))
 
@@ -129,22 +130,29 @@ def _classical_keys(gamma: frozenset, universe: FormulaUniverse) -> list:
 def class_of(table: QuotientTable, phi: Formula) -> int:
     """Class of phi: direct lookup inside the universe, otherwise the
     homomorphic combination of its parts' classes wherever some member
-    combination lies in the universe."""
-    if phi in table.universe:
-        return table.class_index(phi)
-    if isinstance(phi, (And, Or, Implies)):
-        i = class_of(table, phi.lhs)
-        j = class_of(table, phi.rhs)
-        ctor = type(phi)
-        for m1 in table.classes[i]:
-            for m2 in table.classes[j]:
-                combo = ctor(m1, m2)
-                if combo in table.universe:
-                    return table.class_index(combo)
-        raise OutOfUniverse(
-            f"no {ctor.__name__} combination of classes {i} and {j} "
-            "lies in the universe")
-    raise OutOfUniverse(f"{render(phi)} is not in the universe")
+    combination lies in the universe.  One post-order walk over phi's
+    distinct subformulas, with universe members as its leaves: a universe
+    need not hold the subformulas of its members."""
+    def parts(f):
+        if f in table.universe or not isinstance(f, (And, Or, Implies)):
+            return ()
+        return f.lhs, f.rhs
+    classes: dict = {}
+    for f in postorder([phi], parts):
+        if f in table.universe:
+            classes[f] = table.class_index(f)
+            continue
+        if not parts(f):
+            raise OutOfUniverse(f"{render(f)} is not in the universe")
+        i, j = classes[f.lhs], classes[f.rhs]
+        combos = (type(f)(m1, m2) for m1 in table.classes[i]
+                  for m2 in table.classes[j])
+        combo = next((c for c in combos if c in table.universe), None)
+        if combo is None:
+            raise OutOfUniverse(f"no {type(f).__name__} combination of "
+                                f"classes {i} and {j} lies in the universe")
+        classes[f] = table.class_index(combo)
+    return classes[phi]
 
 
 def quotient_ops_well_defined(gamma, universe: FormulaUniverse,
@@ -181,7 +189,8 @@ def truth_matches_provability(gamma, universe: FormulaUniverse,
     for phi in universe.items:
         verdict = oracle.provable(gamma, phi)
         if isinstance(verdict, Unknown):
-            raise OracleInconclusive(f"provability of {render(phi)} undecided")
+            raise OracleInconclusive(f"provability of {render(phi)} "
+                                     f"undecided: {verdict.reason}")
         if table.provable_top[class_of(table, phi)] != isinstance(verdict, Provable):
             return False
     return True

@@ -492,26 +492,41 @@ def proof_to_json(proof: ProofTerm) -> dict:
 
 
 def proof_from_json(obj) -> ProofTerm:
-    if not isinstance(obj, dict) or "rule" not in obj:
-        raise ValueError("proof node must be an object with a 'rule' field")
-    rule = obj["rule"]
-    texts = obj.get("formulas", [])
-    subs = obj.get("subproofs", [])
-    if not isinstance(texts, list) or not isinstance(subs, list):
-        raise ValueError(f"rule {rule!r}: formulas and subproofs must be "
-                         f"lists")
-    if not all(isinstance(text, str) for text in texts):
-        raise ValueError(f"rule {rule!r}: formulas must be strings")
-    formulas = [parse(text) for text in texts]
-    subs = [proof_from_json(s) for s in subs]
-    cls = _BY_RULE.get(rule) if isinstance(rule, str) else None
-    if cls is None:
-        raise ValueError(f"unknown rule {rule!r}")
-    kind = NODE_KINDS[cls]
-    if len(formulas) != len(kind.formulas) or len(subs) != len(kind.subproofs):
-        raise ValueError(f"rule {rule!r} takes {len(kind.formulas)} formulas "
-                         f"and {len(kind.subproofs)} subproofs")
-    return cls(*formulas, *subs)
+    """The proof written as obj, read on an explicit stack.  A node's
+    fields are checked and its formulas parsed before its subproofs are
+    read, and its rule and arity after them, as a recursive descent does."""
+    built: list = []
+    stack: list = [(None, obj)]
+    while stack:
+        formulas, node = stack.pop()
+        if formulas is not None:
+            rule, n = node["rule"], len(node.get("subproofs", []))
+            subs = built[len(built) - n:]
+            del built[len(built) - n:]
+            cls = _BY_RULE.get(rule) if isinstance(rule, str) else None
+            if cls is None:
+                raise ValueError(f"unknown rule {rule!r}")
+            kind = NODE_KINDS[cls]
+            if len(formulas) != len(kind.formulas) or n != len(kind.subproofs):
+                raise ValueError(f"rule {rule!r} takes {len(kind.formulas)} "
+                                 f"formulas and {len(kind.subproofs)} "
+                                 "subproofs")
+            built.append(cls(*formulas, *subs))
+            continue
+        if not isinstance(node, dict) or "rule" not in node:
+            raise ValueError("proof node must be an object with a 'rule' "
+                             "field")
+        rule = node["rule"]
+        texts = node.get("formulas", [])
+        subs = node.get("subproofs", [])
+        if not isinstance(texts, list) or not isinstance(subs, list):
+            raise ValueError(f"rule {rule!r}: formulas and subproofs must be "
+                             f"lists")
+        if not all(isinstance(text, str) for text in texts):
+            raise ValueError(f"rule {rule!r}: formulas must be strings")
+        stack.append(([parse(text) for text in texts], node))
+        stack += ((None, sub) for sub in reversed(subs))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

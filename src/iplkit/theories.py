@@ -44,7 +44,7 @@ def budget_from_env(text: Optional[str] = None) -> Budget:
 
 @dataclass(frozen=True)
 class Provable:
-    witness: Optional[ProofTerm] = None
+    witness: ProofTerm
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str = ""
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -83,29 +83,20 @@ class Oracle:
     query: a proved query's witness is replayed from it once and checked
     by the kernel against gamma, and a failed search yields a countermodel.
 
-    The oracle also keeps the truth-table scan of its latest variable set,
-    (idx, atoms, full, memo), so consecutive queries over one set evaluate
-    each shared subformula once; a query over another set replaces it.
-    Its one-world countermodels are kept per (idx, world), so a repeated
-    refuting assignment returns the same model, whose forcing memo is warm.
+    The oracle keeps no verdicts: every call decides and certifies its
+    query afresh.  Its one record across queries is the truth-table scan
+    of its latest variable set, (idx, atoms, full, memo, models), so
+    consecutive queries over one set evaluate each shared subformula once
+    and share the one-world countermodel of each refuting assignment,
+    whose forcing memo is warm; a query over another set replaces it.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
         self.budget = budget or Budget()
-        self._cache: dict = {}
         self._scan: Optional[tuple] = None
-        self._models: dict = {}
 
     def provable(self, gamma, phi: Formula):
         gamma = frozenset(gamma)
-        key = (gamma, phi)
-        if key in self._cache:
-            return self._cache[key]
-        verdict = self._decide(gamma, phi)
-        self._cache[key] = verdict
-        return verdict
-
-    def _decide(self, gamma: frozenset, phi: Formula):
         refutation = self._classical_countermodel(gamma, phi)
         if refutation is not None:
             return self._certify_refuted(gamma, phi, refutation, 0)
@@ -132,16 +123,16 @@ class Oracle:
             return None
         scan = self._scan
         if scan is None or scan[0] != idx:
-            scan = self._scan = (idx, *_truth_table(idx), {})
+            scan = self._scan = (idx, *_truth_table(idx), {}, {})
         # the memo's keys are ids, which is safe only because
         # formula._TABLE never evicts a node, so no id is reused
-        _, atoms, full, memo = scan
+        _, atoms, full, memo, models = scan
         world = first_refutation(gamma, phi, atoms, full, _discrete, memo)
         if world is None:
             return None
-        model = self._models.get((idx, world))
+        model = models.get(world)
         if model is None:
-            model = self._models[idx, world] = make_model(
+            model = models[world] = make_model(
                 1, {(0, 0)}, {v: [0] if world >> (k - 1 - i) & 1 else []
                               for i, v in enumerate(idx)})
         return model
@@ -318,8 +309,10 @@ def is_disjunctive(gamma, universe: FormulaUniverse, oracle: Oracle):
         rhs = oracle.provable(gamma, phi.rhs)
         if isinstance(rhs, Provable):
             continue
-        if isinstance(lhs, Unknown) or isinstance(rhs, Unknown):
-            return Unknown("disjunct provability undecided")
+        for side in (lhs, rhs):
+            if isinstance(side, Unknown):
+                return Unknown(f"disjunct provability undecided: "
+                               f"{side.reason}")
         return Fails((phi.lhs, phi.rhs, both.witness, lhs, rhs))
     return Holds()
 

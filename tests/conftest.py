@@ -5,5 +5,6 @@ from iplkit.theories import Oracle
 
 @pytest.fixture(scope="session")
 def oracle():
-    # one shared oracle; its proof-search memo warms up across tests
+    # one oracle shared by every test; it keeps no verdicts, only the
+    # truth-table scan of its latest variable set
     return Oracle()

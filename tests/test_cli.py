@@ -14,6 +14,7 @@ from iplkit.heyting import algebra_to_json, chain
 from iplkit.kripke import model_to_json, make_model
 from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj, check,
                           proof_from_json, proof_to_json)
+from iplkit.theories import Unknown
 
 
 def rieger_nishimura(n):
@@ -348,6 +349,24 @@ class TestPipelines:
                                   ["bot -> bot"]]
         assert doc["provable_top"] == [False, True]
         assert doc["order"] == [[True, True], [False, True]]
+
+    def test_quotient_undecided_names_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("IPLKIT_BUDGET", "depth=1")
+        code, out, _ = run_cli(capsys, "quotient", "--vars", "1",
+                               "--depth", "1")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "equivalence of bot & bot and bot undecided: proof "
+                     "search depth budget exhausted (depth=1)"}
+
+    def test_quotient_class_order_undecided(self, capsys, monkeypatch):
+        monkeypatch.setattr(iplkit.cli, "provably_leq",
+                            lambda *args: Unknown("stub reason"))
+        code, out, _ = run_cli(capsys, "quotient", "--vars", "0",
+                               "--depth", "1")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "class order undecided: stub reason"}
 
     def test_harness_clean(self, capsys):
         code, out, _ = run_cli(capsys, "harness", "--formula", "p0 | ~p0",

@@ -1,14 +1,17 @@
 import pytest
 
-from iplkit.formula import And, BOT, Implies, Or, TOP, encode, neg, var
+import reference_walks
+
+from iplkit.formula import (And, BOT, Implies, Or, TOP, all_formulas, encode,
+                            neg, var)
 from iplkit.kripke import forces
 from iplkit.lindenbaum import (OutOfUniverse, build_quotient, class_of,
                                provably_equivalent, provably_leq,
                                quotient_ops_well_defined,
                                truth_matches_provability)
 from iplkit.proof import check
-from iplkit.theories import (Fails, Holds, Oracle, canonical_universe,
-                             make_universe)
+from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
+                             Unknown, canonical_universe, make_universe)
 
 p0, p1 = var(0), var(1)
 
@@ -188,6 +191,95 @@ class TestClassOf:
         for f in universe.items:
             if isinstance(f, (And, Or, Implies)):
                 assert class_of(table, f) == table.class_index(f)
+
+
+def class_outcome(walk, table, phi):
+    try:
+        return "class", walk(table, phi)
+    except OutOfUniverse as exc:
+        return "OutOfUniverse", str(exc)
+
+
+class TestClassOfMatchesReference:
+    """The explicit-stack class_of against the recursive one: the same
+    class, or the same OutOfUniverse message."""
+
+    @pytest.mark.parametrize("gamma, items", [
+        ([], canonical_universe(1, 1).items),
+        ([p0], canonical_universe(1, 1).items),
+        # not closed under subformulas: p0 & p1 is a member, p1 is not
+        ([], [BOT, p0, And(p0, p1), Or(p0, BOT), Implies(BOT, BOT)]),
+    ])
+    def test_formulas_to_depth_three(self, oracle, gamma, items):
+        table = build_quotient(gamma, make_universe(items), oracle)
+        outcomes = set()
+        for phi in all_formulas(2, 3):
+            got = class_outcome(class_of, table, phi)
+            assert got == class_outcome(reference_walks.class_of, table, phi)
+            outcomes.add(got[0] if got[0] == "class"
+                         else got[1].split()[0] == "no")
+        # classes found, and parts outside the universe; the combination
+        # that no member pair reaches shows up in the first and the last
+        assert {"class", False} <= outcomes
+
+    def test_members_are_leaves(self, oracle):
+        # (p0 & p1) & p0 combines the class of the member p0 & p1, whose
+        # own part p1 lies outside the universe, through its equivalent
+        # member p1 & p0
+        members = [p0, And(p0, p1), And(p1, p0), And(And(p1, p0), p0)]
+        table = build_quotient([], make_universe(members), oracle)
+        phi = And(And(p0, p1), p0)
+        assert phi not in table.universe
+        assert class_of(table, phi) == table.class_index(members[3])
+        with pytest.raises(OutOfUniverse, match="^p1 is not in the universe"):
+            class_of(table, And(p1, p1))
+
+    def test_deep_conjunction(self):
+        # p0 & (p0 & (... & p0)), 3000 deep; the recursive walk raised
+        # RecursionError on it
+        table = build_quotient([], canonical_universe(1, 1), Oracle())
+        phi = p0
+        for _ in range(3000):
+            phi = And(p0, phi)
+        assert class_of(table, phi) == table.class_index(p0)
+
+
+class TestInconclusive:
+    """Every OracleInconclusive names the verdict's reason."""
+
+    class Undecided(Oracle):
+        def __init__(self, undecided):
+            super().__init__()
+            self.undecided = undecided
+
+        def provable(self, gamma, phi):
+            if phi in self.undecided:
+                return Unknown("stub reason")
+            return super().provable(gamma, phi)
+
+    def test_equivalence_names_the_budget(self):
+        with pytest.raises(OracleInconclusive) as info:
+            build_quotient([], canonical_universe(1, 1),
+                           Oracle(Budget(max_depth=1)))
+        assert str(info.value) == ("equivalence of bot & bot and bot "
+                                   "undecided: proof search depth budget "
+                                   "exhausted (depth=1)")
+
+    def test_representative_provability(self):
+        oracle = self.Undecided({TOP})
+        with pytest.raises(OracleInconclusive) as info:
+            build_quotient([], canonical_universe(0, 1), oracle)
+        assert str(info.value) == ("provability of bot -> bot undecided: "
+                                   "stub reason")
+
+    def test_truth_matches_provability(self):
+        # And(BOT, BOT) is no representative, so only the per-formula
+        # check asks for it on its own
+        oracle = self.Undecided({And(BOT, BOT)})
+        with pytest.raises(OracleInconclusive) as info:
+            truth_matches_provability([], canonical_universe(0, 1), oracle)
+        assert str(info.value) == ("provability of bot & bot undecided: "
+                                   "stub reason")
 
 
 class TestOpsWellDefined:

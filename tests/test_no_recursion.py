@@ -16,10 +16,6 @@ RECURSIVE_BY_DESIGN = {
                       "a computable code",
     "formula.decode": "the inverse of encode: a code nested that deep has "
                       "more bits than memory holds",
-    "proof.proof_from_json": "its input comes from json.load, whose own "
-                             "nesting limit is reached first",
-    "lindenbaum.class_of": "library-only, never reached from the command "
-                           "line",
 }
 
 

@@ -4,12 +4,14 @@ import gc
 import json
 import pathlib
 import pickle
+import random
 import typing
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_walks
 from test_witnesses import named_laws
 
 from iplkit.formula import BOT, And, Implies, Or, neg, parse, render, var
@@ -320,6 +322,82 @@ class TestJson:
     def test_rejects_members_of_the_wrong_type(self, doc):
         with pytest.raises(ValueError):
             proof_from_json(doc)
+
+
+def json_outcome(reader, doc):
+    """The term read from doc, or the type and message of the error."""
+    try:
+        return "proof", reader(doc)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def json_nodes(doc) -> list:
+    """Every object of the document, in preorder."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node["subproofs"]))
+    return out
+
+
+BREAKS = [
+    lambda node: node.update(rule="cut"),
+    lambda node: node.update(rule=["x"]),
+    lambda node: node.pop("rule"),
+    lambda node: node.pop("formulas"),
+    lambda node: node.update(formulas=node["formulas"] + ["p0"]),
+    lambda node: node.update(formulas=[5]),
+    lambda node: node.update(formulas="p0"),
+    lambda node: node.update(formulas=["p0 &"]),
+    lambda node: node.update(subproofs=5),
+    lambda node: node["subproofs"].append(
+        {"rule": "premise", "formulas": ["p1"], "subproofs": []}),
+    lambda node: node["subproofs"].insert(0, 7),
+    lambda node: node["subproofs"].clear(),
+]
+
+
+class TestJsonMatchesReference:
+    """The explicit-stack reader against the recursive one: the same
+    term, or the same error type and message, the first one met."""
+
+    def docs(self):
+        for gamma, goal in named_laws():
+            yield proof_to_json(Oracle().provable(gamma, goal).witness)
+
+    def test_valid_documents(self):
+        for doc in self.docs():
+            got = json_outcome(proof_from_json, doc)
+            assert got[0] == "proof"
+            assert got == json_outcome(reference_walks.proof_from_json, doc)
+
+    def test_malformed_documents(self):
+        rng = random.Random(3)
+        docs = list(self.docs())
+        seen = set()
+        for _ in range(1000):
+            doc = copy.deepcopy(rng.choice(docs))
+            # several broken nodes, so that which error comes first counts
+            nodes = json_nodes(doc)
+            for node in rng.sample(nodes, min(len(nodes), rng.randint(1, 3))):
+                rng.choice(BREAKS)(node)
+            got = json_outcome(proof_from_json, doc)
+            assert got == json_outcome(reference_walks.proof_from_json, doc)
+            seen.add(got[1].split(":")[0] if got[0] != "proof" else "proof")
+        assert len(seen) > 8
+
+    def test_deep_round_trip(self):
+        # the 3000-step modus ponens chain; the recursive reader raised
+        # RecursionError on it.  Deep proofs compare by repr, which walks
+        # on a stack, where == would recurse
+        n = 3000
+        gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+        witness = Oracle().provable(gamma, var(n)).witness
+        back = proof_from_json(proof_to_json(witness))
+        assert check(gamma, back) == var(n)
+        assert repr(back) == repr(witness)
 
 
 # Terms of all thirteen kinds; neither the JSON format nor subst_premise

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -136,10 +138,28 @@ class TestOracle:
         assert isinstance(v, Unknown)
         assert v.reason == "proof search depth budget exhausted (depth=1)"
 
-    def test_cache_stable(self, oracle):
-        a = oracle.provable(frozenset(), Implies(p0, p0))
-        b = oracle.provable(frozenset(), Implies(p0, p0))
-        assert a is b
+    @pytest.mark.parametrize("gamma, phi", [
+        ([], Implies(p0, p0)),          # Provable
+        ([p0], p1),                     # Refuted by the truth-table scan
+        ([], parse("p0 | ~p0")),        # Refuted by failed proof search
+    ])
+    def test_verdicts_are_not_kept(self, oracle, gamma, phi):
+        # the shared oracle lives as long as the test run; it keeps no
+        # verdict, so one is freed as soon as its caller drops it
+        verdict = oracle.provable(gamma, phi)
+        assert isinstance(verdict, (Provable, Refuted))
+        ref = weakref.ref(verdict)
+        del verdict
+        gc.collect()
+        assert ref() is None
+
+    def test_repeated_query_same_certificate(self, oracle):
+        for gamma, phi in (([], Implies(p0, p0)), ([p0], p1),
+                           ([], parse("p0 | ~p0"))):
+            a = oracle.provable(gamma, phi)
+            b = oracle.provable(gamma, phi)
+            assert a == b and a is not b
+            assert certificate_text(a) == certificate_text(b)
 
 
 def implication_chain(n, last):
@@ -438,6 +458,32 @@ class TestTheoryPredicates:
     def test_disjunctive_holds_when_disjunct_provable(self, oracle):
         u = make_universe([p0, p1, Or(p0, p1)])
         assert isinstance(is_disjunctive([p0], u, oracle), Holds)
+
+    def test_disjunctive_skips_refuted_disjunction(self, oracle):
+        # p2 | p2 is refuted under p0 | p1, so the scan moves on to the
+        # failing disjunction after it
+        p2 = var(2)
+        u = make_universe([p0, p1, Or(p2, p2), Or(p0, p1)])
+        v = is_disjunctive([Or(p0, p1)], u, oracle)
+        assert isinstance(v, Fails)
+        assert (v.witness[0], v.witness[1]) == (p0, p1)
+
+    def test_disjunctive_skips_provable_right_disjunct(self, oracle):
+        # p0 | p1 holds by its right disjunct p1, a premise
+        p2 = var(2)
+        u = make_universe([p0, p1, p2, Or(p0, p1), Or(p0, p2)])
+        v = is_disjunctive([p1, Or(p0, p2)], u, oracle)
+        assert isinstance(v, Fails)
+        assert (v.witness[0], v.witness[1]) == (p0, p2)
+
+    def test_disjunctive_undecided_names_the_budget(self):
+        # Peirce's law is classically valid, so only proof search settles
+        # it, and at depth 1 the search cannot finish
+        peirce, p2 = parse("((p0 -> p1) -> p0) -> p0"), var(2)
+        u = make_universe([peirce, p2, Or(peirce, p2)])
+        v = is_disjunctive([Or(peirce, p2)], u, Oracle(Budget(max_depth=1)))
+        assert v == Unknown("disjunct provability undecided: proof search "
+                            "depth budget exhausted (depth=1)")
 
 
 class TestPairConsistency:

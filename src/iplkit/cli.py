@@ -25,8 +25,9 @@ _LIBRARY = {
     "catalog": "standard_algebras",
     "heyting": """algebra_from_json algebra_to_json consequence_over_algebras
         interpret make_interpretation prime_filters super_prime_filter""",
-    "kripke": """CountermodelSearchTooLarge _models consequence_over_models
-        find_countermodel forces model_from_json model_to_json""",
+    "kripke": """CountermodelSearchTooLarge _candidate_count _models
+        consequence_over_models find_countermodel forces model_from_json
+        model_to_json""",
     "lindenbaum": "build_quotient provably_leq",
     "proof": "ProofError check proof_from_json proof_to_json",
     "theories": """Fails Holds Oracle OracleInconclusive Provable
@@ -50,6 +51,14 @@ def _need(*modules) -> None:
         for name in _LIBRARY[module].split():
             globals().setdefault(name, getattr(library, name))
 
+
+# The most candidate valuations (kripke._candidate_count) that harness
+# tries for its default models, the 1- and 2-world models over the
+# formulas' variables.  There are 72,353 at 8 variables and 282,339 at 9,
+# which on a 2-core machine took 2.0 s and 46 MB, and 8-10 s and 138 MB;
+# at 10 there are 1,108,649, and time and memory grow about fourfold per
+# variable.
+MAX_HARNESS_CANDIDATES = 300_000
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -345,6 +354,12 @@ def _cmd_harness(args):
         models = [_load_model(path) for path in args.model]
     else:
         idx = tuple(variable_indices(formulas))
+        if sum(_candidate_count(len(idx), n) for n in (1, 2)) > \
+                MAX_HARNESS_CANDIDATES:
+            raise UsageError(
+                f"the default models over {len(idx)} variables have more "
+                f"than MAX_HARNESS_CANDIDATES = {MAX_HARNESS_CANDIDATES} "
+                "candidate valuations; give models with --model")
         models = [m for n in (1, 2) for m in _models(idx, n)]
     if args.algebra:
         algebras = [_load_algebra(path) for path in args.algebra]

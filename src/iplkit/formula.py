@@ -66,22 +66,28 @@ class _Node:
         return _rebuild, (_program(self),)
 
     def __repr__(self):
-        # Class(field=value, ...) text emitted from a stack of pieces, so
-        # that a formula of any depth has a repr
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif isinstance(item, _Node):
-                pieces = [f"{type(item).__name__}("]
-                for i, f in enumerate(item.__match_args__):
-                    pieces += [f"{', ' if i else ''}{f}=", getattr(item, f)]
-                pieces.append(")")
-                stack += reversed(pieces)
-            else:
-                out.append(repr(item))
-        return "".join(out)
+        return _dataclass_text(self, _OPERANDS)
+
+
+def _dataclass_text(root, fields: dict) -> str:
+    """Class(field=value, ...), the text a dataclass __repr__ gives for
+    root, from a stack of pieces so that a value of any depth has one.
+    fields maps a class to the fields written out here; a value of any
+    other class is written with repr.  A piece is text or a value."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        pieces = [f"{type(item).__qualname__}("]
+        for i, name in enumerate(fields[type(item)]):
+            value = getattr(item, name)
+            pieces += [f"{', ' if i else ''}{name}=",
+                       value if type(value) in fields else repr(value)]
+        pieces.append(")")
+        stack += reversed(pieces)
+    return "".join(out)
 
 
 def _intern(cls, key, values: tuple, hash_value: int, vars_mask: int):
@@ -140,6 +146,7 @@ class Implies(_Binary):
 
 
 _BINARY = (And, Or, Implies)
+_OPERANDS = {cls: cls.__match_args__ for cls in (Variable, Bottom, *_BINARY)}
 
 
 Formula = Union[Variable, Bottom, And, Or, Implies]

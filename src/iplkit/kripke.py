@@ -32,6 +32,16 @@ MAX_COUNTERMODEL_VALUATIONS = 20_000
 MAX_JSON_WORLDS = 1 << 10
 MAX_JSON_VARS = 1 << 16
 
+# The most closed world sets _closed_subsets returns.  An n-world model
+# has at most 2^n, so every model of up to 9 worlds stays under the cap.
+# closed_set_algebra builds and validates tables over the sets; through
+# `iplkit bridge k2a` on a 2-core machine that took 0.2 s for the 101
+# sets of a 100-world chain, 1.3 s for the 256 of an 8-world antichain,
+# 7.4 s and 120 MB for the 512 of a 9-world one and 12.6 s and 162 MB
+# for the 512 of a 511-world chain: about six times as long for each
+# doubling of the sets.
+MAX_CLOSED_SETS = 512
+
 # Labeled preorders on 1, 2, ... worlds: _canonical_preorders builds each
 # and tests it against every relabeling before a world count is searched.
 _LABELED_PREORDERS = (1, 4, 29, 355, 6942, 209_527)
@@ -58,7 +68,7 @@ class KripkeModel:
         and the set of all worlds as bitmasks (bit w for world w), and
         down(s), the worlds that see some world of s."""
         return ({v: sum(1 << w for w in ws) for v, ws in self.valuation},
-                (1 << self.worlds) - 1, _frame_down(self.rel, self.worlds))
+                (1 << self.worlds) - 1, _frame(self.rel, self.worlds)[3])
 
     @cached_property
     def memo(self) -> dict:
@@ -80,15 +90,6 @@ class KripkeModel:
             if v == index:
                 return ws
         raise EvalError(f"variable p{index} is not declared in this model")
-
-
-@lru_cache(maxsize=4096)
-def _frame_down(rel: frozenset, worlds: int):
-    """down from per-world predecessor masks, shared by a frame's models."""
-    pred = [0] * worlds
-    for i, j in rel:
-        pred[j] |= 1 << i
-    return partial(_down, tuple(pred))
 
 
 def _down(pred: tuple, mask: int) -> int:
@@ -128,7 +129,7 @@ def validate_model(model: KripkeModel) -> list:
     checked on per-world successor bitmasks.  Violations come in the
     order of loops over range(worlds), sorted(rel) and then the third
     world."""
-    labels, bit, succ, out = _frame_check(model.rel, model.worlds)
+    labels, bit, succ, _, out = _frame(model.rel, model.worlds)
     out = list(out)
     for v, ws in model.valuation:
         truth = 0
@@ -144,17 +145,20 @@ def validate_model(model: KripkeModel) -> list:
 
 
 @lru_cache(maxsize=4096)
-def _frame_check(rel: frozenset, worlds: int) -> tuple:
-    """(labels, bit, succ, violations) of a frame, shared by its models.
-    labels lists the worlds that the frame or the relation names, sorted,
-    and bit maps each to its position k; succ[k] has bit j set when
-    (labels[k], labels[j]) is in rel.  violations lists the frame's
-    reflexivity and transitivity violations."""
+def _frame(rel: frozenset, worlds: int) -> tuple:
+    """(labels, bit, succ, down, violations) of a frame, shared by its
+    models.  labels lists the worlds that the frame or the relation names,
+    sorted, and bit maps each to its position k; succ[k] has bit j set
+    when (labels[k], labels[j]) is in rel, and down(s) the positions that
+    see one in s (world w is position w when rel stays in range(worlds)).
+    violations lists the reflexivity and transitivity violations."""
     labels = sorted({*range(worlds), *(w for pair in rel for w in pair)})
     bit = {w: k for k, w in enumerate(labels)}
     succ = [0] * len(labels)
+    pred = [0] * len(labels)
     for a, b in rel:
         succ[bit[a]] |= 1 << bit[b]
+        pred[bit[b]] |= 1 << bit[a]
     out = [Violation("reflexivity", (w,)) for w in range(worlds)
            if not succ[bit[w]] >> bit[w] & 1]
     inside = sum(1 << bit[w] for w in range(worlds))
@@ -163,7 +167,7 @@ def _frame_check(rel: frozenset, worlds: int) -> tuple:
             out += [Violation("transitivity",
                               (labels[ka], labels[kb], labels[kc]))
                     for kc in _ones(succ[kb] & inside & ~row)]
-    return labels, bit, succ, tuple(out)
+    return labels, bit, succ, partial(_down, tuple(pred)), tuple(out)
 
 
 def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
@@ -315,11 +319,26 @@ def _preorders(n: int) -> tuple:
 
 
 def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:
-    """The up-closed (or down-closed) subsets of range(n), in mask order."""
-    pairs = rel if up else [(b, a) for a, b in rel]
-    return [frozenset(i for i in range(n) if mask >> i & 1)
-            for mask in range(1 << n)
-            if all(mask >> b & 1 for a, b in pairs if mask >> a & 1)]
+    """The up-closed (or down-closed) subsets of range(n), in mask order:
+    the unions of the worlds' principal up-sets (or down-sets) under the
+    reflexive-transitive closure of rel.  Raises ValueError for a pair
+    outside range(n), and once the family passes MAX_CLOSED_SETS."""
+    succ = [1 << w for w in range(n)]
+    for a, b in rel:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"relation pair ({a}, {b}) out of range")
+        if not up:
+            a, b = b, a
+        succ[a] |= 1 << b
+    _warshall(succ)
+    found = {0}     # after world w: the unions of the sets of worlds <= w
+    for row in succ:
+        found |= {mask | row for mask in found}
+        if len(found) > MAX_CLOSED_SETS:
+            raise ValueError(
+                f"more than MAX_CLOSED_SETS = {MAX_CLOSED_SETS} "
+                f"{'up' if up else 'down'}-closed world sets")
+    return [frozenset(_ones(mask)) for mask in sorted(found)]
 
 
 def _rel_key(rel: frozenset) -> tuple:
@@ -382,6 +401,12 @@ def _up_set_counts(n: int) -> tuple:
                  for rel in _canonical_preorders(n))
 
 
+def _candidate_count(k: int, n: int) -> int:
+    """The valuations of k variables that _models tries on n worlds: the
+    sum over the canonical preorders of (up-sets)^k."""
+    return sum(u ** k for u in _up_set_counts(n))
+
+
 def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
     """First (model, world) in enumeration order with at most max_worlds
     worlds that forces gamma but not phi, at the model's lowest refuting
@@ -399,8 +424,7 @@ def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
         if n > len(_LABELED_PREORDERS) or \
                 _LABELED_PREORDERS[n - 1] > MAX_COUNTERMODEL_VALUATIONS:
             too_many = "its labeled preorders"
-        elif sum(u ** k for u in _up_set_counts(n)) > \
-                MAX_COUNTERMODEL_VALUATIONS:
+        elif _candidate_count(k, n) > MAX_COUNTERMODEL_VALUATIONS:
             too_many = f"{k} variables"
         else:
             for model in _models(var_indices, n):
@@ -441,14 +465,19 @@ def _closure(pairs: list, worlds: int) -> set:
     succ = [0] * len(nodes)
     for i, j in pairs:
         succ[bit[i]] |= 1 << bit[j]
-    for k in range(len(nodes)):
+    _warshall(succ)
+    return {(w, w) for w in range(worlds)} | {
+        (nodes[i], nodes[j]) for i, row in enumerate(succ)
+        for j in range(len(nodes)) if row >> j & 1}
+
+
+def _warshall(succ: list) -> None:
+    """Close successor bitmasks under transitivity, in place."""
+    for k in range(len(succ)):
         mask, through = 1 << k, succ[k]
         for i, row in enumerate(succ):
             if row & mask:
                 succ[i] = row | through
-    return {(w, w) for w in range(worlds)} | {
-        (nodes[i], nodes[j]) for i, row in enumerate(succ)
-        for j in range(len(nodes)) if row >> j & 1}
 
 
 def _ints(value, what: str) -> list:

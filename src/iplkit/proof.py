@@ -14,8 +14,8 @@ transformation.
 
 Node classes are frozen dataclasses whose __init__ and __repr__ are made
 here from NODE_KINDS: the __init__ stores each field through
-object.__setattr__, and the __repr__ gives the dataclass text for a proof
-of any depth.
+object.__setattr__, the __repr__ gives the dataclass text for a proof
+of any depth, and a copy of a node is the node itself.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .formula import (_TABLE, And, BOT, Formula, Implies, Or, parse,
-                      postorder, render)
+from .formula import (_TABLE, _dataclass_text, And, BOT, Formula, Implies,
+                      Or, parse, postorder, render)
 
 # Frozen dataclasses whose __init__ and __repr__ _make_methods adds below.
 # Each class has a docstring: without one, dataclass would build one from
@@ -233,35 +233,27 @@ NODE_KINDS = {cls: _kind(cls, rule, conclusion)
 )}
 
 
+# node class -> its field names, in constructor order
+_FIELDS = {cls: kind.formulas + kind.subproofs
+           for cls, kind in NODE_KINDS.items()}
+
+
 def _repr(self) -> str:
-    """Class(field=value, ...), the text the dataclass __repr__ gives,
-    emitted from a stack of pieces so that a proof of any depth has a
-    repr.  A piece is text, or a node still to be written out."""
-    out, stack = [], [self]
-    while stack:
-        item = stack.pop()
-        kind = NODE_KINDS.get(type(item))
-        if kind is None:
-            out.append(item)
-            continue
-        pieces = [f"{type(item).__qualname__}("]
-        for i, name in enumerate(kind.formulas + kind.subproofs):
-            value = getattr(item, name)
-            pieces += [f"{', ' if i else ''}{name}=",
-                       value if type(value) in NODE_KINDS else repr(value)]
-        pieces.append(")")
-        stack += reversed(pieces)
-    return "".join(out)
+    return _dataclass_text(self, _FIELDS)
+
+
+def _itself(self, memo=None):
+    """Nodes are immutable, so a copy is the node itself."""
+    return self
 
 
 def _make_methods() -> None:
     """Give every node class an __init__ with one parameter per field,
     in field order, that stores each through object.__setattr__ (the
-    classes are frozen), and _repr as its __repr__.  One exec defines
-    all the __init__s."""
+    classes are frozen), _repr as its __repr__, and _itself as its
+    __copy__ and __deepcopy__.  One exec defines all the __init__s."""
     source = []
-    for cls, kind in NODE_KINDS.items():
-        names = kind.formulas + kind.subproofs
+    for cls, names in _FIELDS.items():
         source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
         source += [f"    _set(self, {name!r}, {name})" for name in names]
     scope: dict = {}
@@ -273,6 +265,7 @@ def _make_methods() -> None:
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
         cls.__repr__ = _repr
+        cls.__copy__ = cls.__deepcopy__ = _itself
 
 
 _make_methods()

@@ -225,11 +225,11 @@ def _search(prem: frozenset, goal: Formula):
     # invertible premise rules: one run of the single-successor ones,
     # else a split on the first disjunction
     order = sorted(prem, key=order_key)
-    for start, delta in enumerate(order):
-        if _adds(delta, prem) is not None:
-            key, steps = _saturate(prem, goal, order, start)
-            sub = yield None, key
-            return None if sub is None else _run_entry(key, steps, sub[3])
+    run = _saturate(prem, goal, order)
+    if run is not None:
+        key, steps = run
+        sub = yield None, key
+        return None if sub is None else _run_entry(key, steps, sub[3])
     for delta in order:
         if isinstance(delta, Or):
             a, b = delta.lhs, delta.rhs
@@ -277,40 +277,38 @@ def _search(prem: frozenset, goal: Formula):
     return None
 
 
-def _saturate(prem: frozenset, goal: Formula, order: list,
-              start: int) -> tuple:
+def _saturate(prem: frozenset, goal: Formula,
+              order: list) -> Optional[tuple]:
     """(sub-sequent, steps) for the run of single-successor invertible
-    left rules on prem |- goal whose first rule applies to order[start].
-    The run walks the premises in order, then the formulas its rules add,
-    first in first out; an implication whose atomic antecedent is absent
-    waits until that atom is added.  It stops once no rule applies or the
-    goal or bot is a premise.  steps lists (principal premise, formulas
-    it added) in the order the rules applied."""
-    cur = set(prem)
+    left rules on prem |- goal, or None if no rule applies.  The run walks
+    the premises in order, then the formulas its rules add, first in
+    first out, appending them to order; an implication whose atomic
+    antecedent is absent waits until that atom is added.  It stops once
+    no rule applies or the goal or bot is a premise.  steps lists
+    (principal premise, formulas it added) in the order the rules applied."""
+    cur = prem              # copied once the first rule applies
     waiting: dict = {}      # absent atom -> implications waiting for it
-    for delta in order[:start]:
-        if isinstance(delta, Implies) and isinstance(delta.lhs, Variable):
-            waiting.setdefault(delta.lhs, []).append(delta)
-    queue = order[start:]
     steps = []
-    for delta in queue:     # the queue grows at its end as the loop runs
+    for delta in order:     # order grows at its end as the loop runs
         new = _adds(delta, cur)
         if new is None:
             if isinstance(delta, Implies) and isinstance(delta.lhs, Variable):
                 waiting.setdefault(delta.lhs, []).append(delta)
             continue
+        if cur is prem:
+            cur = set(prem)
         cur.discard(delta)
         added = [f for f in new if f not in cur]
         cur.update(added)
-        queue += added
+        order += added
         if waiting:
             for f in added:
                 if f in waiting:
-                    queue += waiting.pop(f)
+                    order += waiting.pop(f)
         steps.append((delta, added))
         if goal in added or BOT in added:
             break
-    return (frozenset(cur), goal), steps
+    return ((frozenset(cur), goal), steps) if steps else None
 
 
 def _run_entry(key: tuple, steps: list, used: frozenset) -> tuple:

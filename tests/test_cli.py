@@ -8,10 +8,10 @@ import time
 import pytest
 
 import iplkit
-from iplkit.cli import main
+from iplkit.cli import MAX_HARNESS_CANDIDATES, main
 from iplkit.formula import Implies, Or, neg, render, var
 from iplkit.heyting import algebra_to_json, chain
-from iplkit.kripke import model_to_json, make_model
+from iplkit.kripke import _candidate_count, model_to_json, make_model
 from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj, check,
                           proof_from_json, proof_to_json)
 from iplkit.theories import Unknown
@@ -302,6 +302,30 @@ class TestBridgeCommands:
         assert doc["algebra"]["size"] == 3
         assert doc["closed_sets"] == [[], [1], [0, 1]]
 
+    def test_k2a_on_a_long_chain(self, capsys, tmp_path):
+        # 101 up-sets among 2^100 world sets, which a scan cannot visit
+        path = tmp_path / "chain100.json"
+        path.write_text(json.dumps(
+            {"worlds": 100, "rel": [[w, w + 1] for w in range(99)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bridge", "k2a", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["algebra"]["size"] == 101
+        assert doc["closed_sets"][:3] == [[], [99], [98, 99]]
+
+    def test_k2a_past_the_closed_set_cap(self, capsys, tmp_path):
+        # all 4,096 world sets of a 12-world antichain are closed
+        path = tmp_path / "antichain12.json"
+        path.write_text(json.dumps({"worlds": 12, "rel": []}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bridge", "k2a", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.strip() == "more than MAX_CLOSED_SETS = 512 up-closed " \
+            "world sets"
+
     def test_a2k(self, capsys, c3_file):
         code, out, _ = run_cli(capsys, "bridge", "a2k", c3_file,
                                "--assign", "p0=1")
@@ -378,6 +402,22 @@ class TestPipelines:
         assert not lem["kripke_valid"] and not lem["algebra_valid"]
         assert lem["bridged_algebra_refutes"] and lem["bridged_frame_refutes"]
         assert exf["kripke_valid"] and exf["algebra_valid"]
+
+    def test_harness_default_models_are_capped(self, capsys):
+        def formulas(k):
+            return [a for i in range(k) for a in ("--formula", f"p{i}")]
+        code, out, err = run_cli(capsys, "harness", *formulas(2))
+        assert code == 0, err
+        assert len(json.loads(out)["entries"]) == 2
+        # nine variables stay under the cap (they run in about 8 s)
+        def candidates(k):
+            return sum(_candidate_count(k, n) for n in (1, 2))
+        assert candidates(9) <= MAX_HARNESS_CANDIDATES < candidates(10)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "harness", *formulas(10))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "give models with --model" in err
 
 
 # the directory that holds the iplkit package this suite imported

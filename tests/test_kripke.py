@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from iplkit.bridge import truth_set
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             all_formulas, neg, parse, var)
-from iplkit.kripke import (EvalError, KripkeModel, Violation, _closure,
+from iplkit.kripke import (MAX_CLOSED_SETS, EvalError, KripkeModel,
+                           Violation, _closed_subsets, _closure,
                            consequence_over_models, enumerate_models,
                            find_countermodel, forces, forces_all,
                            forcing_is_monotone, make_model, model_from_json,
@@ -401,6 +402,60 @@ class TestClosure:
         model = model_from_json(doc)
         assert time.perf_counter() - start < 2.0
         assert len(model.rel) == 150 * 151 // 2
+
+
+def reference_closed_subsets(rel, n, up) -> list:
+    """The scan _closed_subsets ran before it joined principal up-sets:
+    each of the 2^n world sets, in mask order, tested against every
+    pair."""
+    pairs = rel if up else [(b, a) for a, b in rel]
+    return [frozenset(i for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n)
+            if all(mask >> b & 1 for a, b in pairs if mask >> a & 1)]
+
+
+def antichain(n) -> frozenset:
+    return frozenset((w, w) for w in range(n))
+
+
+class TestClosedSubsets:
+    def test_matches_the_scan(self):
+        rng = random.Random(14)
+        for _ in range(3000):
+            n = rng.randint(0, 7)
+            rel = {(rng.randrange(n), rng.randrange(n))
+                   for _ in range(rng.randint(0, 12))} if n else set()
+            if rng.random() < 0.5:
+                rel = _closure(list(rel), n)
+            rel = frozenset(rel)
+            for up in (True, False):
+                assert _closed_subsets(rel, n, up) == \
+                    reference_closed_subsets(rel, n, up), (rel, n, up)
+
+    def test_pairs_out_of_range_raise(self):
+        for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match=r"^relation pair "
+                               r"\(-?\d, -?\d\) out of range$"):
+                _closed_subsets(frozenset({(0, 1), pair}), 2, up=True)
+
+    def test_long_chain_without_a_scan(self):
+        rel = frozenset(_closure([(w, w + 1) for w in range(99)], 100))
+        start = time.perf_counter()
+        ups = _closed_subsets(rel, 100, up=True)
+        downs = _closed_subsets(rel, 100, up=False)
+        assert time.perf_counter() - start < 1.0
+        assert ups == [frozenset(range(k, 100)) for k in range(100, -1, -1)]
+        assert downs == [frozenset(range(k)) for k in range(101)]
+
+    def test_the_cap(self):
+        # every world set of an antichain is closed: 2^n of them
+        assert MAX_CLOSED_SETS == 512
+        assert len(_closed_subsets(antichain(9), 9, up=True)) == 512
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^more than MAX_CLOSED_SETS = "
+                           r"512 down-closed world sets$"):
+            _closed_subsets(antichain(20), 20, up=False)
+        assert time.perf_counter() - start < 1.0
 
 
 def reference_validate(model) -> list:

@@ -581,6 +581,16 @@ class TestNodeConstructors:
                 assert proof_to_json(twin) == proof_to_json(witness)
                 assert infer_conclusion(twin) is infer_conclusion(witness)
 
+    def test_deep_witness_copies_as_itself(self):
+        # 3000 modus ponens steps deep; deepcopy walked the fields and
+        # raised RecursionError
+        n = 3000
+        gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+        witness = Oracle().provable(gamma, var(n)).witness
+        assert copy.copy(witness) is witness
+        assert copy.deepcopy(witness) is witness
+        assert copy.deepcopy([witness])[0] is witness
+
     def test_a_node_is_one_gc_tracked_object(self):
         # the fields live in the instance, with no dict of their own
         sub = Premise(p0)

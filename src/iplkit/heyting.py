@@ -124,7 +124,7 @@ def validate_algebra(alg: FiniteHeytingAlgebra) -> list:
     a <= himp(b, c) iff meet(a, b) <= c.  Each law is tested on whole
     rows or tables at once: the order and lattice laws on the bitmasks
     of the elements below and above each element, residuation on
-    strings over (b, c).  Only the bits or pairs that break a law are
+    byte strings over (b, c).  Only the bits or pairs that break a law are
     visited, and violations come in the order of loops over a, b and c."""
     n, le, meet, join = alg.size, alg.le, alg.meet, alg.join
     rng = range(n)
@@ -162,16 +162,40 @@ def validate_algebra(alg: FiniteHeytingAlgebra) -> list:
                 out.append(Violation("join_upper_bound", (a, b)))
             out += [Violation("join_least", (a, b, c))
                     for c in _ones(hi & ~up[j])]
-    # both sides of residuation for a row a, as strings over (b, c)
-    rows = ["".join(map(chr, row)) for row in le]
-    himp = "".join(["".join(map(chr, row)) for row in alg.himp])
+    # both sides of residuation for a row a, as byte strings over (b, c):
+    # le[a][himp[b][c]] is read by bytes.translate, one plane of 256
+    # elements at a time, and le[meet[a][b]][c] by joining rows of le
+    rows = [bytes(row) for row in le]
+    flat = [h for row in alg.himp for h in row]
+    planes = _planes(flat, n)
     for a in rng:
-        lhs = himp.translate(rows[a])
-        rhs = "".join(map(rows.__getitem__, meet[a]))
+        if len(planes) == 1:
+            lhs = planes[0][0].translate(rows[a].ljust(256, b"\0"))
+        else:
+            bits = 0
+            for h, (low, mask) in enumerate(planes):
+                part = rows[a][256 * h:256 * h + 256].ljust(256, b"\0")
+                bits |= int.from_bytes(low.translate(part), "big") & mask
+            lhs = bits.to_bytes(n * n, "big")
+        rhs = b"".join(map(rows.__getitem__, meet[a]))
         if lhs != rhs:
             out += [Violation("residuation", (a, k // n, k % n))
                     for k in range(n * n) if lhs[k] != rhs[k]]
     return out
+
+
+def _planes(flat: list, n: int) -> list:
+    """The entries of flat, elements of an n-element algebra, split by
+    their high byte: (low bytes, mask) per plane h of 256 elements, where
+    mask has 1 in the byte of each entry in plane h.  One plane, holding
+    flat itself and no mask, when n is at most 256."""
+    if n <= 256:
+        return [(bytes(flat), None)]
+    low = bytes(x & 255 for x in flat)
+    high = bytes(x >> 8 for x in flat)
+    return [(low, int.from_bytes(high.translate(bytes(
+        i == h for i in range(256))), "big"))
+        for h in range((n + 255) // 256)]
 
 
 def lattice_from_le(le) -> tuple:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import (And, Formula, Implies, Or, encode, postorder, render,
-                      variable_indices)
+from .formula import (And, Formula, Implies, Or, TOP, encode, postorder,
+                      render, variable_indices)
 from .kripke import forces, truth_mask
 from .theories import (Fails, FormulaUniverse, Holds, Oracle,
                        OracleInconclusive, Provable, Refuted, Unknown,
@@ -78,13 +78,18 @@ def build_quotient(gamma, universe: FormulaUniverse,
     Each formula is tested only against the classes of its classical
     key, its truth mask over the assignments that satisfy gamma: formulas
     with different keys are not even classically equivalent, and the
-    oracle's truth-table scan would refute them.  Every query made must
-    be definitive; Unknown aborts with OracleInconclusive rather than
+    oracle's truth-table scan would refute them.  By the same rule a
+    class whose key is not that of top is not provable-top, and the
+    oracle is asked only about the others.  Every query made must be
+    definitive; Unknown aborts with OracleInconclusive rather than
     guessing a class."""
     gamma = frozenset(gamma)
     classes: list = []
     by_key: dict = {}
-    for phi, key in zip(universe.items, _classical_keys(gamma, universe)):
+    # top has no variables, so it leaves the truth table as it is
+    keys = _classical_keys(gamma, FormulaUniverse((*universe.items, TOP)))
+    sat = keys.pop()
+    for phi, key in zip(universe.items, keys):
         candidates = by_key.setdefault(key, [])
         for members in candidates:
             verdict = provably_equivalent(gamma, phi, members[0], oracle)
@@ -101,8 +106,14 @@ def build_quotient(gamma, universe: FormulaUniverse,
     classes = [tuple(sorted(members, key=encode)) for members in classes]
     classes.sort(key=lambda members: encode(members[0]))
     reps = tuple(members[0] for members in classes)
+    key_of = dict(zip(universe.items, keys))
     tops = []
     for rep in reps:
+        # past the scan's variables every key and sat are None, so the
+        # oracle decides each representative
+        if key_of[rep] != sat:
+            tops.append(False)
+            continue
         verdict = oracle.provable(gamma, rep)
         if isinstance(verdict, Unknown):
             raise OracleInconclusive(f"provability of {render(rep)} "

@@ -12,10 +12,12 @@ kinds the module provides a catalog of derived rules (every entry builds
 a term the checker accepts) and the deduction theorem as a proof
 transformation.
 
-Node classes are frozen dataclasses whose __init__ and __repr__ are made
-here from NODE_KINDS: the __init__ stores each field through
-object.__setattr__, the __repr__ gives the dataclass text for a proof
-of any depth, and a copy of a node is the node itself.
+Node classes are frozen dataclasses whose __init__, __repr__, == and
+hash are made here from NODE_KINDS: the __init__ stores each field
+through object.__setattr__, the __repr__ gives the dataclass text for a
+proof of any depth, == and hash give the dataclass results from walks
+that visit each distinct subproof once, and a copy of a node is the node
+itself.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from typing import Callable, NamedTuple, Optional, Union
 from .formula import (_TABLE, _dataclass_text, And, BOT, Formula, Implies,
                       Or, parse, postorder, render)
 
-# Frozen dataclasses whose __init__ and __repr__ _make_methods adds below.
+# Frozen dataclasses whose __init__, __repr__, == and hash _make_methods
+# adds below.
 # Each class has a docstring: without one, dataclass would build one from
 # the signature, which costs import time.
-_node = dataclass(frozen=True, init=False, repr=False)
+_node = dataclass(frozen=True, init=False, repr=False, eq=False)
 
 
 @_node
@@ -247,11 +250,60 @@ def _itself(self, memo=None):
     return self
 
 
+def _eq(self, other):
+    """The dataclass ==, fields compared in pairs of the same class, on
+    an explicit stack that compares each pair of subproofs once."""
+    if type(other) is not type(self):
+        return NotImplemented
+    seen: set = set()
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        kind = NODE_KINDS.get(type(a))
+        if kind is None or type(b) is not type(a):
+            if a != b:
+                return False
+        elif kind.formula_values(a) != kind.formula_values(b):
+            return False
+        else:
+            stack += zip(kind.children(a), kind.children(b))
+    return True
+
+
+class _Known:
+    """A subproof's hash, found once, in the field tuple of its parent."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _hash(self) -> int:
+    """The dataclass hash, that of the tuple of the fields, from one
+    post-order walk that hashes each distinct subproof once."""
+    known: dict = {}
+    for node in postorder([self], _children):
+        kind = NODE_KINDS.get(type(node))
+        if kind is not None:
+            known[id(node)] = hash((*kind.formula_values(node), *(
+                _Known(known[id(k)]) if id(k) in known else k
+                for k in kind.children(node))))
+    return known[id(self)]
+
+
 def _make_methods() -> None:
     """Give every node class an __init__ with one parameter per field,
     in field order, that stores each through object.__setattr__ (the
-    classes are frozen), _repr as its __repr__, and _itself as its
-    __copy__ and __deepcopy__.  One exec defines all the __init__s."""
+    classes are frozen), _repr as its __repr__, _eq and _hash as its ==
+    and hash, and _itself as its __copy__ and __deepcopy__.  One exec
+    defines all the __init__s."""
     source = []
     for cls, names in _FIELDS.items():
         source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
@@ -265,6 +317,8 @@ def _make_methods() -> None:
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
         cls.__repr__ = _repr
+        cls.__eq__ = _eq
+        cls.__hash__ = _hash
         cls.__copy__ = cls.__deepcopy__ = _itself
 
 

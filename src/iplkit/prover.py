@@ -19,7 +19,12 @@ failed search's memo.
 
 A whole run of the single-successor invertible left rules is one search
 step: one memo entry, whose sub-sequent is the saturated premise set,
-and one level of the depth budget.
+and one level of the depth budget.  Disjunction elimination is
+invertible too (Dyckhoff 1992), so when the first branch of a split
+proves the goal without its disjunct, that branch alone proves the
+sequent and the second is never searched.  The replay never composes
+with a proof of C -> C: where the formula a step passes on is C itself,
+the other operand stands alone.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class Prover:
         if rule == _ID:
             return ctx.fact(goal)
         if rule == _EXFALSO:
-            return _then(c, ctx.fact(BOT), Exfalso(goal))
+            return _then(c, BOT, ctx.fact(BOT), Exfalso(goal))
         if rule == _IMP_R:
             p = yield ctx.child(goal.lhs), subs[0]
             return p if c is None else Exportation(p)
@@ -158,7 +163,8 @@ class Prover:
             return _and_compose(c, goal.lhs, goal.rhs, p, q)
         if rule in (_OR_R1, _OR_R2):
             inject = WeakeningDisj if rule == _OR_R1 else or_intro_right
-            return _then(c, (yield ctx, subs[0]), inject(goal.lhs, goal.rhs))
+            return _then(c, subs[0][1], (yield ctx, subs[0]),
+                         inject(goal.lhs, goal.rhs))
         if rule == _OR_L:
             a, b = delta.lhs, delta.rhs
             p = yield ctx.child(a), subs[0]
@@ -168,14 +174,13 @@ class Prover:
             split = _or_elim(a, b, Implies(c, goal),
                              _swap_out(c, a, p), _swap_out(c, b, q))
             return Syllogism(ContractionConj(c), Importation(
-                Syllogism(ctx.fact(delta), split)))
+                _then(c, delta, ctx.fact(delta), split)))
         if rule == _IMP_IMP_L and not ctx.provides(delta.rhs):
             # prove inner from inner.rhs -> body, then body from delta
             self._add_facts(ctx, delta, subs[0], key)
             p = yield ctx, subs[0]
-            q = ctx.fact(delta)
-            ctx.facts[delta.rhs] = ModusPonens(p, q) if c is None \
-                else _s_rule(c, delta.lhs, delta.rhs, p, q)
+            ctx.facts[delta.rhs] = _modus_ponens(c, delta.lhs, delta.rhs, p,
+                                                 ctx.fact(delta))
         if rule == _LEFT:
             for d, fs in delta:
                 for f in fs:
@@ -199,8 +204,9 @@ def _search(prem: frozenset, goal: Formula):
     None when it is not provable.  After the axioms and the goal-directed
     rules comes one run of single-successor invertible left rules
     (_saturate), as one step whose sub-sequent is the saturated premise
-    set; a saturated sequent splits its first disjunction premise, then
-    tries the choice points."""
+    set; a saturated sequent splits its first disjunction premise, and
+    searches the second branch only when the first uses its disjunct,
+    then tries the choice points."""
     if goal in prem:
         return (_ID, None, (), frozenset((goal,)))
     if BOT in prem:
@@ -238,11 +244,11 @@ def _search(prem: frozenset, goal: Formula):
             s1 = yield None, k1
             if s1 is None:
                 return None
+            if a in rest or a not in s1[3]:
+                return (_SAME, None, (k1,), s1[3])
             s2 = yield None, k2
             if s2 is None:
                 return None
-            if a in rest or a not in s1[3]:
-                return (_SAME, None, (k1,), s1[3])
             if b in rest or b not in s2[3]:
                 return (_SAME, None, (k2,), s2[3])
             return (_OR_L, delta, (k1, k2),
@@ -386,12 +392,10 @@ def _left_fact(ctx: "_Context", delta: Formula, f: Formula) -> ProofTerm:
     if isinstance(delta, And):
         a, b = delta.lhs, delta.rhs
         part = WeakeningConj(a, b) if f == a else and_elim_right(a, b)
-        return _then(c, ctx.fact(delta), part)
+        return _then(c, delta, ctx.fact(delta), part)
     ante, body = delta.lhs, delta.rhs
     if isinstance(ante, Variable):
-        if c is None:
-            return ModusPonens(ctx.fact(ante), ctx.fact(delta))
-        return _s_rule(c, ante, body, ctx.fact(ante), ctx.fact(delta))
+        return _modus_ponens(c, ante, body, ctx.fact(ante), ctx.fact(delta))
     if isinstance(ante, And):
         if c is None:
             return Exportation(ctx.fact(delta))
@@ -447,7 +451,9 @@ class _Context:
 
     def fact(self, f: Formula) -> ProofTerm:
         """The fact for f from the nearest context on the chain that has
-        one, weakened down to this one and cached on the way."""
+        one, weakened down to this one and cached on the way; below a
+        context whose formula is f itself, the fact is the projection
+        onto it."""
         path = []
         ctx = self
         while f not in ctx.facts:
@@ -466,15 +472,33 @@ class _Context:
                 if ctx._proj is None:
                     ctx._proj = WeakeningConj(ctx.formula.lhs,
                                               ctx.formula.rhs)
-                out = Syllogism(ctx._proj, out)
+                out = ctx._proj if f is ctx.formula.lhs \
+                    else Syllogism(ctx._proj, out)
             ctx.facts[f] = out
         return out
 
 
-def _then(c: Optional[Formula], p: ProofTerm, q: ProofTerm) -> ProofTerm:
+def _then(c: Optional[Formula], x: Formula, p: ProofTerm,
+          q: ProofTerm) -> ProofTerm:
     """From p: x (at the root, c None) or c -> x, and a closed proof q of
-    x -> y, a proof of y or of c -> y."""
-    return ModusPonens(p, q) if c is None else Syllogism(p, q)
+    x -> y, a proof of y or of c -> y: q itself when x is c, so that the
+    identity a depth-1 context proves its hypothesis by is never composed."""
+    if c is None:
+        return ModusPonens(p, q)
+    return q if x is c else Syllogism(p, q)
+
+
+def _modus_ponens(c: Optional[Formula], a: Formula, b: Formula,
+                  p: ProofTerm, q: ProofTerm) -> ProofTerm:
+    """From p: a and q: a -> b at the root (c None), or p: c -> a and
+    q: c -> (a -> b) below it, a proof of b or of c -> b.  When a is c,
+    q imports to c & c -> b and contraction gives c -> b in three nodes,
+    without p."""
+    if c is None:
+        return ModusPonens(p, q)
+    if a is c:
+        return Syllogism(ContractionConj(c), Importation(q))
+    return _s_rule(c, a, b, p, q)
 
 
 def _swap_out(c, a, p) -> ProofTerm:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .formula import (And, BOT, Formula, Or, TOP, all_formulas, order_key,
@@ -22,6 +22,11 @@ from .prover import DEFAULT_MAX_DEPTH, Prover, SearchBudgetExceeded
 
 # The most variables the classical truth-table scan covers (2^16 worlds).
 _MAX_SCAN_VARS = 16
+
+# The most scan records an oracle keeps, one per variable set, the most
+# recently used last.  A quotient over 3 variables meets at most 8 sets,
+# one per subset of its variables.
+_SCAN_RECORDS = 16
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,19 @@ class Oracle:
     by the kernel against gamma, and a failed search yields a countermodel.
 
     The oracle keeps no verdicts: every call decides and certifies its
-    query afresh.  Its one record across queries is the truth-table scan
-    of its latest variable set, (idx, atoms, full, memo, models), so
-    consecutive queries over one set evaluate each shared subformula once
-    and share the one-world countermodel of each refuting assignment,
-    whose forcing memo is warm; a query over another set replaces it.
+    query afresh.  Its records across queries are the truth-table scans
+    of its variable sets, idx -> (atoms, full, memo, models), one per
+    set up to the _SCAN_RECORDS most recently used, so the queries over
+    one set evaluate each shared subformula once and share the one-world
+    countermodel of each refuting assignment, whose forcing memo is warm,
+    even when queries over other sets come between them.  A record holds
+    only what its variable set determines, so the certificates are those
+    of a fresh oracle.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
         self.budget = budget or Budget()
-        self._scan: Optional[tuple] = None
+        self._scans: dict = {}
 
     def provable(self, gamma, phi: Formula):
         gamma = frozenset(gamma)
@@ -121,12 +129,16 @@ class Oracle:
         k = len(idx)
         if k > _MAX_SCAN_VARS:
             return None
-        scan = self._scan
-        if scan is None or scan[0] != idx:
-            scan = self._scan = (idx, *_truth_table(idx), {}, {})
+        scans = self._scans
+        scan = scans.pop(idx, None)
+        if scan is None:
+            scan = (*_truth_table(idx), {}, {})
+            if len(scans) >= _SCAN_RECORDS:
+                del scans[next(iter(scans))]
+        scans[idx] = scan
         # the memo's keys are ids, which is safe only because
         # formula._TABLE never evicts a node, so no id is reused
-        _, atoms, full, memo, models = scan
+        atoms, full, memo, models = scan
         world = first_refutation(gamma, phi, atoms, full, _discrete, memo)
         if world is None:
             return None
@@ -317,11 +329,18 @@ def is_disjunctive(gamma, universe: FormulaUniverse, oracle: Oracle):
     return Holds()
 
 
+@lru_cache(maxsize=16)
+def _right_goal(right: frozenset) -> Formula:
+    """The fold of a pair's right side in order_key order, built once
+    per right side: saturation asks it of each step, and the right side
+    changes only when a formula goes right."""
+    return disj_fold(sorted(right, key=order_key))
+
+
 def _pair_decision(pair: FormulaPair, oracle: Oracle):
     """Oracle verdict for the pair's defining query: the left side proving
     the fold of the right side."""
-    right = sorted(pair.right, key=order_key)
-    return oracle.provable(pair.left, disj_fold(right))
+    return oracle.provable(pair.left, _right_goal(pair.right))
 
 
 def pair_consistent(pair: FormulaPair, oracle: Oracle):
@@ -344,7 +363,7 @@ def pair_consistent(pair: FormulaPair, oracle: Oracle):
     proof = verdict.witness
     phi_sub = tuple(sorted(premises(proof), key=order_key))
     omega_sub = tuple(sorted(pair.right, key=order_key))
-    if check(phi_sub, proof) != disj_fold(omega_sub):
+    if check(phi_sub, proof) != _right_goal(pair.right):
         raise RuntimeError("pair witness does not check")
     return Fails((phi_sub, omega_sub, proof))
 

@@ -4,9 +4,11 @@ dense-table scans kept in reference_heyting.py.
 Completion must give the same tables or raise the same error class with
 the same message, on any relation, orders or not; validation must give
 the same violations in the same order, on lawful algebras and on tables
-corrupted in one to three entries; consequence must give the same
-verdict with the same first refuting assignment, and interpretation the
-same element or the same error for the leftmost unassigned variable.
+corrupted in one to three entries, and on algebras past 128 and 256
+elements the same residuation violations on the rows checked;
+consequence must give the same verdict with the same first refuting
+assignment, and interpretation the same element or the same error for
+the leftmost unassigned variable.
 """
 
 import random
@@ -24,7 +26,7 @@ from iplkit.heyting import (AlgConsequenceVerdict, _table, chain,
                             consequence_over_algebras,
                             himp_from_order, interpret, lattice_from_le,
                             make_algebra, make_interpretation,
-                            product_algebra, validate_algebra)
+                            product_algebra, validate_algebra, Violation)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -132,6 +134,50 @@ def test_corrupted_tables_match_reference(lengths, corruptions):
             top = v % n
     alg = make_algebra(n, le, meet, join, himp, bot, top)
     assert validate_algebra(alg) == reference_heyting.validate_algebra(alg)
+
+
+def residuation_rows(alg, rows) -> list:
+    """The residuation violations of the reference loop, for the rows a
+    in rows only, where the n^3 loop over the whole algebra is too slow."""
+    le, meet, himp, rng = alg.le, alg.meet, alg.himp, range(alg.size)
+    return [Violation("residuation", (a, b, c)) for a in rows
+            for b in rng for c in rng
+            if le[a][himp[b][c]] != le[meet[a][b]][c]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: product_algebra(chain(3), chain(43)), lambda: chain(257)],
+    ids=["129", "257"])
+def test_residuation_past_one_byte(build):
+    """Elements past 127 and past 255 in the residuation check: himp
+    entries corrupted to values on both sides of those bounds, and one
+    meet entry, against the reference law on the rows they touch and on
+    a few others."""
+    alg = build()
+    n = alg.size
+    assert validate_algebra(alg) == []
+    rng = random.Random(n)
+    le, meet, himp = alg.le, [list(r) for r in alg.meet], \
+        [list(r) for r in alg.himp]
+    cells = sorted(divmod(k, n) for k in rng.sample(range(n * n), 8))
+    for (b, c), v in zip(cells, (0, 127, 128, 255, 256, n - 1, 1, 129)):
+        v %= n
+        himp[b][c] = v if v != himp[b][c] else (v + 1) % n
+    row, col = rng.randrange(n), rng.randrange(n)
+    meet[row][col] = (meet[row][col] + 200) % n
+    bad = make_algebra(n, le, meet, alg.join, himp, alg.bot, alg.top)
+    got = validate_algebra(bad)
+    rows = sorted({0, row, n - 1, *rng.sample(range(n), 3)})
+    want = residuation_rows(bad, rows)
+    assert [v for v in got if v.kind == "residuation"
+            and v.witness[0] in rows] == want
+    assert any(v.witness[0] == row for v in want)
+    # outside the row of the broken meet, only the corrupted himp cells
+    # can break the law
+    assert [v for v in got
+            if v.kind == "residuation" and v.witness[0] != row] == \
+        [Violation("residuation", (a, b, c)) for a in range(n) if a != row
+         for b, c in cells if le[a][himp[b][c]] != le[meet[a][b]][c]]
 
 
 def test_catalog_corruptions_match_reference():

@@ -4,14 +4,15 @@ import reference_walks
 
 from iplkit.formula import (And, BOT, Implies, Or, TOP, all_formulas, encode,
                             neg, var)
-from iplkit.kripke import forces
+from iplkit.kripke import forces, forces_all, make_model
 from iplkit.lindenbaum import (OutOfUniverse, build_quotient, class_of,
                                provably_equivalent, provably_leq,
                                quotient_ops_well_defined,
                                truth_matches_provability)
 from iplkit.proof import check
 from iplkit.theories import (Budget, Fails, Holds, Oracle, OracleInconclusive,
-                             Unknown, canonical_universe, make_universe)
+                             Provable, Unknown, canonical_universe,
+                             make_universe)
 
 p0, p1 = var(0), var(1)
 
@@ -111,11 +112,19 @@ class TestQuotient:
     @pytest.mark.parametrize("gamma", [[], [p0], [Or(p0, p1)]])
     def test_classical_keys_keep_the_pairwise_classes(self, gamma):
         # each formula meets only the classes of its truth mask under
-        # gamma, one query per item here, and the classes stay the same
+        # gamma, one equivalence query per item that joins a class here,
+        # and only a representative true at every assignment that
+        # satisfies gamma is asked about on its own; the classes stay
+        # the same
         universe = canonical_universe(3, 1)
         oracle = CountingOracle()
         table = build_quotient(gamma, universe, oracle)
-        assert oracle.calls == len(universe.items) == 52
+        reps = table.representatives
+        tops = [phi for phi in oracle.asked if phi in reps]
+        assert oracle.calls - len(tops) == \
+            len(universe.items) - len(table.classes)
+        assert tops == [rep for rep in reps
+                        if classically_valid(gamma, rep, 3)]
         assert table.classes == pairwise_classes(gamma, universe, Oracle())
 
     def test_past_sixteen_variables_every_class_is_tried(self):
@@ -126,12 +135,60 @@ class TestQuotient:
         assert oracle.calls == 17 * 16 // 2 + 1 + 17
 
 
+class TestQuotientTops:
+    """provable_top read off the classical keys, against asking a fresh
+    oracle about every representative."""
+
+    @pytest.mark.parametrize("universe", [canonical_universe(2, 1),
+                                          canonical_universe(3, 1)])
+    @pytest.mark.parametrize("gamma", [
+        [], [p0], [Or(p0, p1)], [Implies(p0, p1)], [neg(p0)],
+        [neg(neg(p0))], [And(p0, neg(p0))]])
+    def test_match_the_oracle(self, universe, gamma):
+        table = build_quotient(gamma, universe, Oracle())
+        assert table.provable_top == asked_tops(gamma, table)
+
+    def test_past_sixteen_variables(self):
+        # the keys are None there, so every representative is asked
+        universe = make_universe([var(i) for i in range(17)]
+                                 + [Or(p0, Implies(p0, BOT)), TOP])
+        oracle = CountingOracle()
+        table = build_quotient([Implies(var(16), var(16))], universe, oracle)
+        reps = table.representatives
+        assert [phi for phi in oracle.asked if phi in reps] == list(reps)
+        assert table.provable_top == asked_tops([Implies(var(16), var(16))],
+                                                table)
+        assert table.provable_top.count(True) == 1
+
+
+def asked_tops(gamma, table) -> tuple:
+    return tuple(isinstance(Oracle().provable(gamma, rep), Provable)
+                 for rep in table.representatives)
+
+
 class CountingOracle(Oracle):
-    calls = 0
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.asked)
 
     def provable(self, gamma, phi):
-        self.calls += 1
+        self.asked.append(phi)
         return super().provable(gamma, phi)
+
+
+def classically_valid(gamma, phi, num_vars) -> bool:
+    """phi holds in every one-world model over p0..p(num_vars-1) that
+    forces gamma."""
+    for bits in range(1 << num_vars):
+        model = make_model(1, [(0, 0)], {i: [0] if bits >> i & 1 else []
+                                         for i in range(num_vars)})
+        if forces_all(model, 0, gamma) and not forces(model, 0, phi):
+            return False
+    return True
 
 
 def pairwise_classes(gamma, universe, oracle) -> tuple:

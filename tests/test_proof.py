@@ -14,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 import reference_walks
 from test_witnesses import named_laws
 
-from iplkit.formula import BOT, And, Implies, Or, neg, parse, render, var
+from iplkit.formula import (BOT, And, Implies, Or, neg, parse, postorder,
+                            render, var)
 from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
                           ContractionDisj, Exfalso, Expansion, Exportation,
                           Importation, ModusPonens, NODE_KINDS, Premise,
                           PremiseNotInContext, PermutationConj,
                           ProofError, ProofTerm,
                           PermutationDisj, RuleShapeMismatch, Syllogism,
-                          WeakeningConj, WeakeningDisj, and_compose,
+                          WeakeningConj, WeakeningDisj, _children, and_compose,
                           and_elim_right, and_intro, check, conj_monotone,
                           deduction_theorem, derived, dni, ex_falso_rule,
                           identity, iff_elim_left, iff_elim_right, iff_intro,
@@ -390,13 +391,13 @@ class TestJsonMatchesReference:
 
     def test_deep_round_trip(self):
         # the 3000-step modus ponens chain; the recursive reader raised
-        # RecursionError on it.  Deep proofs compare by repr, which walks
-        # on a stack, where == would recurse
+        # RecursionError on it
         n = 3000
         gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
         witness = Oracle().provable(gamma, var(n)).witness
         back = proof_from_json(proof_to_json(witness))
         assert check(gamma, back) == var(n)
+        assert back == witness
         assert repr(back) == repr(witness)
 
 
@@ -445,6 +446,31 @@ class TestNodeKinds:
     def test_subst_premise_matches_reference(self, term, target, replacement):
         assert subst_premise(term, target, replacement) == \
             reference_subst(term, target, replacement)
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(TERMS, TERMS, st.sampled_from([p0, p1, BOT]), TERMS)
+    def test_eq_and_hash_match_reference(self, term, other, target,
+                                         replacement):
+        changed = subst_premise(term, target, replacement)
+        twin = proof_from_json(proof_to_json(term))
+        for a, b in ((term, other), (term, changed), (term, twin)):
+            assert (a == b) == reference_eq(a, b)
+            assert (a != b) == (not reference_eq(a, b))
+        assert twin == term and hash(twin) == hash(term)
+        # the dataclass hash: that of the tuple of the fields
+        for node in postorder([term], _children):
+            assert hash(node) == hash(tuple(
+                getattr(node, f.name) for f in dataclasses.fields(node)))
+
+
+def reference_eq(a, b) -> bool:
+    """The dataclass == by recursion over the fields."""
+    if type(a) is not type(b) or not dataclasses.is_dataclass(a):
+        return a == b
+    return all(reference_eq(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
 
 
 def reference_subst(term, target, replacement):
@@ -590,6 +616,21 @@ class TestNodeConstructors:
         assert copy.copy(witness) is witness
         assert copy.deepcopy(witness) is witness
         assert copy.deepcopy([witness])[0] is witness
+
+    def test_deep_witness_eq_and_hash(self):
+        # 3000 modus ponens steps deep; the dataclass == and hash recursed
+        # once per step and raised RecursionError
+        n = 3000
+        gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+        witness = Oracle().provable(gamma, var(n)).witness
+        twin = proof_from_json(proof_to_json(witness))
+        assert twin is not witness and twin == witness
+        assert hash(twin) == hash(witness) == \
+            hash((witness.minor, witness.major))
+        # the deepest leaf differs
+        other = subst_premise(witness, p0, Exfalso(p0))
+        assert other != witness and not other == witness
+        assert len({witness, twin, other}) == 2
 
     def test_a_node_is_one_gc_tracked_object(self):
         # the fields live in the instance, with no dict of their own

@@ -66,3 +66,15 @@ def test_a_run_is_one_memo_entry_and_one_level():
         proof = prover.prove([], schwicht_p(n))
         assert check([], proof) == schwicht_p(n)
         assert len(prover._memo) == 3
+
+
+def test_a_first_branch_without_its_disjunct_proves_the_split():
+    # [p0 | p1, p2] |- p2 | p3: the branch that assumes p0 proves the goal
+    # from p2 alone, and the rule is invertible, so the branch that
+    # assumes p1 is never searched
+    p0, p1, p2, p3 = map(var, range(4))
+    gamma, phi = [Or(p0, p1), p2], Or(p2, p3)
+    prover = Prover()
+    assert check(gamma, prover.prove(gamma, phi)) == phi
+    assert (frozenset({p0, p2}), phi) in prover._memo
+    assert (frozenset({p1, p2}), phi) not in prover._memo

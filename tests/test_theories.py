@@ -416,6 +416,42 @@ class TestLongLivedOracle:
         c = oracle.provable([p1], And(p0, p1))
         assert c.model is not a.model and c.model != a.model
 
+    def test_alternating_variable_sets_keep_one_record_each(self):
+        # a query over another variable set leaves the record of the
+        # first in place, and the certificates stay those of fresh oracles
+        p2, p3 = var(2), var(3)
+        queries = [([], Or(p0, p1)), ([p2], p3),
+                   ([], Implies(p0, Or(p0, p1))), ([p3], Or(p2, p3)),
+                   ([p1], And(p0, p1)), ([], Implies(p2, And(p2, p3))),
+                   ([Or(p0, p1)], Or(p1, p0)), ([p3], Implies(p2, p3))]
+        oracle = Oracle()
+        for _ in range(3):
+            for gamma, phi in queries:
+                assert certificate_text(oracle.provable(gamma, phi)) == \
+                    certificate_text(Oracle().provable(gamma, phi))
+        assert list(oracle._scans) == [(0, 1), (2, 3)]
+        a = oracle.provable([], Or(p0, p1))
+        oracle.provable([p2], p3)
+        b = oracle.provable([], And(p0, p1))
+        assert isinstance(a, Refuted) and a.model is b.model
+
+    def test_records_are_capped(self):
+        cap = theories._SCAN_RECORDS
+        oracle = Oracle()
+        for rounds in range(2):
+            for i in range(cap + 4):
+                phi = Or(var(i), neg(var(i)))
+                assert certificate_text(oracle.provable([], phi)) == \
+                    certificate_text(Oracle().provable([], phi))
+                assert len(oracle._scans) <= cap
+        assert list(oracle._scans) == [(i,) for i in range(4, cap + 4)]
+        # a set used again becomes the most recent, so the next new set
+        # evicts the one after it
+        oracle.provable([], var(4))
+        oracle.provable([], var(99))
+        assert (4,) in oracle._scans and (5,) not in oracle._scans
+        assert len(oracle._scans) == cap
+
 
 class TestTheoryPredicates:
     def test_consistent_empty(self, oracle):

@@ -18,8 +18,9 @@ from reference_prover import ReferenceProver
 from test_countermodel_family import KREISEL_PUTNAM, bd
 
 import iplkit
-from iplkit.formula import BOT, And, Implies, Or, neg, render, var
-from iplkit.proof import (Expansion, ModusPonens, Premise, _children, check,
+from iplkit.formula import BOT, And, Implies, Or, neg, postorder, render, var
+from iplkit.proof import (ContractionConj, Expansion, ModusPonens, Premise,
+                          Syllogism, _children, check, identity,
                           proof_to_json)
 from iplkit.theories import Oracle, Provable, canonical_universe
 
@@ -166,13 +167,41 @@ def test_premise_goal_is_its_own_witness():
 
 # The total witness DAG size of named_laws(): a change that grows the
 # witnesses fails here.
-NAMED_LAWS_NODES = 984
+NAMED_LAWS_NODES = 920
 
 
 def test_named_law_witnesses_do_not_grow():
     total = sum(dag_size(Oracle().provable(gamma, phi).witness)
                 for gamma, phi in named_laws())
     assert total <= NAMED_LAWS_NODES
+
+
+def composes_with_identity(proof) -> bool:
+    """Some Syllogism of proof has identity(x) as either operand."""
+    def is_identity(t):
+        return type(t) is Syllogism and type(t.first) is ContractionConj \
+            and t == identity(t.first.formula)
+    return any(type(node) is Syllogism and (is_identity(node.first)
+                                            or is_identity(node.second))
+               for node in postorder([proof], _children))
+
+
+def test_replay_never_composes_with_identity():
+    # a depth-1 context proves its hypothesis c by identity(c); where the
+    # replay would compose with it, the other operand stands alone, and
+    # modus ponens on c itself contracts c & c
+    universe = canonical_universe(2, 1).items
+    queries = list(named_laws()) + [([gamma], phi) for gamma in universe
+                                    for phi in universe]
+    oracle = Oracle()
+    proved = 0
+    for gamma, phi in queries:
+        verdict = oracle.provable(gamma, phi)
+        if isinstance(verdict, Provable):
+            assert not composes_with_identity(verdict.witness), \
+                (gamma, render(phi))
+            proved += 1
+    assert proved > 300
 
 
 def test_unused_disjunct_is_not_split():

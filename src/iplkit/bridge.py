@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .formula import Formula, render, variables
+from .formula import Formula, render, variable_indices, variables
 from .heyting import (FiniteHeytingAlgebra, Interpretation,
                       consequence_over_algebras, interpret, make_algebra,
                       make_interpretation, prime_filters, true_in_algebra,
                       validate_algebra)
-from .kripke import (KripkeModel, _closed_subsets, consequence_over_models,
-                     make_model, truth_mask, valid_in_model, validate_model)
+from .kripke import (KripkeModel, _closed_subsets, _ModelFamily, make_model,
+                     truth_mask, valid_in_model, validate_model)
 
 
 def closed_sets(model: KripkeModel) -> list:
@@ -186,10 +186,14 @@ def validity_harness(formulas, models, algebras) -> HarnessReport:
     """For each formula, compare validity over the supplied models with
     algebraic validity over the supplied algebras, and check that every
     refutation transfers across the bridge in both directions.  Any
-    discrepancy is a defect, never a valid outcome."""
+    discrepancy is a defect, never a valid outcome.  The models are laid
+    out once for all the formulas, as a kripke._ModelFamily, so one walk
+    forces a formula over many models."""
+    formulas = list(formulas)
+    family = _ModelFamily(models, variable_indices(formulas))
     entries = []
     for phi in formulas:
-        kripke = consequence_over_models(models, [], phi)
+        kripke = family.consequence([], phi)
         kripke_witness = (None if kripke.holds
                           else (kripke.model_index, kripke.world))
         algebra = consequence_over_algebras(algebras, [], phi)

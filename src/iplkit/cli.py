@@ -54,10 +54,12 @@ def _need(*modules) -> None:
 
 # The most candidate valuations (kripke._candidate_count) that harness
 # tries for its default models, the 1- and 2-world models over the
-# formulas' variables.  There are 72,353 at 8 variables and 282,339 at 9,
-# which on a 2-core machine took 2.0 s and 46 MB, and 8-10 s and 138 MB;
-# at 10 there are 1,108,649, and time and memory grow about fourfold per
-# variable.
+# formulas' variables.  There are 72,353 at 8 variables and 282,339 at 9.
+# For a formula that an early model refutes, harness took 1.9-2.4 s and
+# 45 MB, and 8.6-9.0 s and 138 MB, on a 2-core machine, nearly all of it
+# in enumerating the models: laying out and forcing all 152,035 models
+# of 9 variables takes about 0.9 s.  At 10 there are 1,108,649, and time
+# and memory grow about fourfold per variable.
 MAX_HARNESS_CANDIDATES = 300_000
 
 EXIT_POSITIVE = 0

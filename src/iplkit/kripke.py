@@ -3,15 +3,18 @@
 Worlds are dense integer indices, the accessibility relation is an
 explicit pair set (reflexive and transitive), and valuations are
 monotone truth sets per variable.  The module also enumerates all valid
-models of a given size up to world relabeling and searches them, one
-model at a time, for minimal countermodels.
+models of a given size up to world relabeling and searches them for
+minimal countermodels, forcing each formula once over a whole family of
+models.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .formula import (And, Bottom, Formula, Or, Variable, _ones,
@@ -229,9 +232,12 @@ def first_refutation(gamma, phi: Formula, atoms: Mapping, full: int,
     gamma = list(gamma)
     if memo is None:
         memo = {}
+    known = memo.get
     mask = full
     for g in gamma:
-        mask &= truth_mask(g, atoms, full, down, memo)
+        truth = known(id(g))
+        mask &= truth_mask(g, atoms, full, down, memo) if truth is None \
+            else truth
         if not mask:
             return None
     mask &= ~truth_mask(phi, atoms, full, down, memo)
@@ -254,8 +260,15 @@ def forces_all(model: KripkeModel, world: int, gamma) -> bool:
     """True iff every member of gamma holds at the world."""
     if not 0 <= world < model.worlds:
         raise EvalError(f"unknown world {world}")
-    return all(truth_mask(g, *model.masks, model.memo) >> world & 1
-               for g in list(gamma))
+    atoms, full, down = model.masks
+    memo = model.memo
+    for g in list(gamma):
+        truth = memo.get(id(g))
+        if truth is None:
+            truth = truth_mask(g, atoms, full, down, memo)
+        if not truth >> world & 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -266,13 +279,165 @@ class ConsequenceVerdict:
 
 
 def consequence_over_models(models, gamma, phi: Formula) -> ConsequenceVerdict:
-    """Local semantic consequence restricted to the supplied model family."""
+    """Local semantic consequence restricted to the supplied model family:
+    the first model, in the order given, with a world forcing gamma but
+    not phi, at its lowest such world."""
     gamma = list(gamma)
-    for i, model in enumerate(models):
-        world = first_refutation(gamma, phi, *model.masks)
-        if world is not None:
-            return ConsequenceVerdict(False, i, world)
-    return ConsequenceVerdict(True)
+    family = _ModelFamily(models, variable_indices(gamma + [phi]))
+    return family.consequence(gamma, phi)
+
+
+# The models in the first block of a _ModelFamily.  A refutation among
+# them costs no more layout, while 64 models of a few worlds still make
+# ints short enough that a walk costs about what it costs on one model.
+_FIRST_BLOCK = 64
+
+
+class _ModelFamily:
+    """A list of models laid out in blocks, each one frame for
+    truth_mask (see _layout), so that one walk forces a formula in every
+    model of a block, and the lowest refuting bit of the first block with
+    one lies in the first refuting model, at its lowest refuting world.
+
+    Blocks are laid out when a walk needs them, each as large as all
+    before it together, so a refutation among the first models lays out
+    few of them, and a formula that holds in every model costs about two
+    walks over the whole family.  Each block keeps one forcing memo.  The
+    blocks cover the longest prefix of the models that declare each
+    variable of var_indices and name no world outside their own range;
+    consequence forces the models after it one at a time, so an error is
+    raised where a model-by-model loop raises it."""
+
+    __slots__ = ("models", "var_indices", "blocks", "covered")
+
+    def __init__(self, models, var_indices) -> None:
+        self.models = list(models)
+        self.var_indices = tuple(var_indices)
+        # (first model, starts, atoms, full, down, memo) per block
+        self.blocks: list = []
+        self.covered = 0  # the models laid out so far
+
+    def _grow(self) -> bool:
+        """Lay out the next block; False if its first model cannot be."""
+        first = self.covered
+        starts, atoms, full, down = _layout(
+            self.models[first:first + max(_FIRST_BLOCK, first)],
+            self.var_indices)
+        if not starts:
+            return False
+        self.blocks.append((first, starts, atoms, full, down, {}))
+        self.covered += len(starts)
+        return True
+
+    def consequence(self, gamma, phi: Formula) -> ConsequenceVerdict:
+        """consequence_over_models over the family's models, for gamma and
+        phi over the variables the family was built for."""
+        gamma = list(gamma)
+        blocks = self.blocks
+        k = 0
+        while k < len(blocks) or self._grow():
+            first, starts, atoms, full, down, memo = blocks[k]
+            bit = first_refutation(gamma, phi, atoms, full, down, memo)
+            if bit is not None:
+                t = bisect_right(starts, bit) - 1
+                return ConsequenceVerdict(False, first + t, bit - starts[t])
+            k += 1
+        models = self.models
+        for i in range(self.covered, len(models)):
+            world = first_refutation(gamma, phi, *models[i].masks)
+            if world is not None:
+                return ConsequenceVerdict(False, i, world)
+        return ConsequenceVerdict(True)
+
+
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _layout(models: list, var_indices: tuple) -> tuple:
+    """(starts, atoms, full, down) of the longest prefix of the models
+    that declare each variable of var_indices and name no world outside
+    their own range, laid out as one frame: world w of the t-th model is
+    bit starts[t] + w.  atoms holds the variables of var_indices.
+
+    down works frame by frame, (worlds, rel): the models that share their
+    frame with another move the set's bits along each pair (a, b) of it
+    by one masked shift of b - a places, pairs of one shift sharing a
+    column mask, and a model alone in its frame keeps _frame's own down
+    on its slice.  Masks are filled through bytearrays, linear in their
+    bits."""
+    wanted = set(var_indices)
+    declares: dict = {}  # the variables of a valuation -> all wanted
+    # (worlds, rel) -> (the set of its worlds, or None when rel names
+    # another world, and the starts of the models on the frame)
+    frames: dict = {}
+    starts: list = []
+    end = 0
+    for model in models:
+        n, valuation = model.worlds, model.valuation
+        names = tuple(map(_first, valuation))
+        declared = declares.get(names)
+        if declared is None:
+            declared = declares[names] = \
+                len(set(names)) == len(names) and wanted.issubset(names)
+        frame = frames.get((n, model.rel))
+        if frame is None:
+            frame = frames[n, model.rel] = (
+                frozenset(range(n)) if n >= 1 and
+                len(_frame(model.rel, n)[0]) == n else None, [])
+        inside, members = frame
+        if not declared or inside is None or not all(
+                map(inside.issuperset, map(_second, valuation))):
+            break
+        members.append(end)
+        starts.append(end)
+        end += n
+    size = (end + 7) >> 3
+    rows = {v: bytearray(size) for v in var_indices}
+    for model, start in zip(models, starts):
+        for v, ws in model.valuation:
+            row = rows.get(v)
+            if row is not None:
+                for w in ws:
+                    w += start
+                    row[w >> 3] |= 1 << (w & 7)
+    cols: dict = {}      # b - a -> the bits b of the models with (a, b)
+    alone = []
+    for (n, rel), (_, members) in frames.items():
+        if not members:
+            continue
+        if len(members) == 1:
+            alone.append((members[0], (1 << n) - 1, _frame(rel, n)[3]))
+            continue
+        for a, b in rel:
+            col = cols.get(b - a)
+            if col is None:
+                col = cols[b - a] = bytearray(size)
+            for start in members:
+                w = start + b
+                col[w >> 3] |= 1 << (w & 7)
+    atoms = {v: int.from_bytes(row, "little") for v, row in rows.items()}
+    if not cols and len(alone) == 1 and alone[0][0] == 0:
+        down = alone[0][2]
+    else:
+        down = partial(_family_down, tuple(
+            (int.from_bytes(col, "little"), max(shift, 0), max(-shift, 0))
+            for shift, col in sorted(cols.items())), tuple(alone))
+    return starts, atoms, (1 << end) - 1, down
+
+
+def _family_down(shifts: tuple, alone: tuple, mask: int) -> int:
+    """down(mask) over a _layout: each (col, right, left) moves the bits
+    of mask & col right places towards bit 0 and left places away from
+    it, one of them 0, and each (start, full, down) of a model alone in
+    its frame applies that down to the model's slice."""
+    out = 0
+    for col, right, left in shifts:
+        out |= (mask & col) >> right << left
+    for start, full, down in alone:
+        part = mask >> start & full
+        if part:
+            out |= down(part) << start
+    return out
 
 
 def forcing_is_monotone(model: KripkeModel, formulas) -> bool:
@@ -427,10 +592,10 @@ def find_countermodel(gamma, phi: Formula, max_worlds: int) -> Optional[tuple]:
         elif _candidate_count(k, n) > MAX_COUNTERMODEL_VALUATIONS:
             too_many = f"{k} variables"
         else:
-            for model in _models(var_indices, n):
-                world = first_refutation(gamma, phi, *model.masks)
-                if world is not None:
-                    return model, world
+            models = _models(var_indices, n)
+            verdict = consequence_over_models(models, gamma, phi)
+            if not verdict.holds:
+                return models[verdict.model_index], verdict.world
             continue
         raise CountermodelSearchTooLarge(
             f"countermodel search stopped at world count {n} of {max_worlds}: "

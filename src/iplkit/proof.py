@@ -16,8 +16,8 @@ Node classes are frozen dataclasses whose __init__, __repr__, == and
 hash are made here from NODE_KINDS: the __init__ stores each field
 through object.__setattr__, the __repr__ gives the dataclass text for a
 proof of any depth, == and hash give the dataclass results from walks
-that visit each distinct subproof once, and a copy of a node is the node
-itself.
+that visit each distinct subproof once, a copy of a node is the node
+itself, and a pickle holds a flat program over the distinct subproofs.
 """
 
 from __future__ import annotations
@@ -298,12 +298,41 @@ def _hash(self) -> int:
     return known[id(self)]
 
 
+def _reduce(self) -> tuple:
+    """Pickle as a post-order program over the distinct subproofs, which
+    _replay runs through the constructors, so that pickling does not
+    recurse once per level and a shared subproof stays one object.  A
+    step is (class, formula values, step indices of the subproofs), or
+    (value,) for a subproof field that holds no node."""
+    nodes = postorder([self], _children)
+    step = {id(node): i for i, node in enumerate(nodes)}
+    program = []
+    for node in nodes:
+        kind = NODE_KINDS.get(type(node))
+        program.append((node,) if kind is None else (
+            type(node), kind.formula_values(node),
+            tuple(step[id(k)] for k in kind.children(node))))
+    return _replay, (tuple(program),)
+
+
+def _replay(program: tuple):
+    """The proof of a _reduce program."""
+    built: list = []
+    for op in program:
+        if len(op) == 1:
+            built.append(op[0])
+        else:
+            cls, values, subproofs = op
+            built.append(cls(*values, *(built[i] for i in subproofs)))
+    return built[-1]
+
+
 def _make_methods() -> None:
     """Give every node class an __init__ with one parameter per field,
     in field order, that stores each through object.__setattr__ (the
     classes are frozen), _repr as its __repr__, _eq and _hash as its ==
-    and hash, and _itself as its __copy__ and __deepcopy__.  One exec
-    defines all the __init__s."""
+    and hash, _itself as its __copy__ and __deepcopy__, and _reduce as
+    its __reduce__.  One exec defines all the __init__s."""
     source = []
     for cls, names in _FIELDS.items():
         source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
@@ -320,6 +349,7 @@ def _make_methods() -> None:
         cls.__eq__ = _eq
         cls.__hash__ = _hash
         cls.__copy__ = cls.__deepcopy__ = _itself
+        cls.__reduce__ = _reduce
 
 
 _make_methods()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_walks
-from test_witnesses import named_laws
+from test_witnesses import named_laws, schwicht_p
 
 from iplkit.formula import (BOT, And, Implies, Or, neg, parse, postorder,
                             render, var)
@@ -549,6 +549,14 @@ def reference_repr(value) -> str:
         for f in dataclasses.fields(value)) + ")"
 
 
+def tree_size(proof) -> int:
+    """The number of nodes of the proof written out as a tree."""
+    size: dict = {}
+    for node in postorder([proof], _children):
+        size[id(node)] = 1 + sum(size[id(k)] for k in _children(node))
+    return size[id(proof)]
+
+
 def law_witnesses() -> list:
     oracle = Oracle()
     verdicts = [oracle.provable(gamma, phi) for gamma, phi in named_laws()]
@@ -616,6 +624,34 @@ class TestNodeConstructors:
         assert copy.copy(witness) is witness
         assert copy.deepcopy(witness) is witness
         assert copy.deepcopy([witness])[0] is witness
+
+    def test_deep_witness_pickles(self):
+        # 3000 modus ponens steps deep; pickling walked the fields and
+        # raised RecursionError
+        n = 3000
+        gamma = [p0] + [Implies(var(i), var(i + 1)) for i in range(n)]
+        witness = Oracle().provable(gamma, var(n)).witness
+        twin = pickle.loads(pickle.dumps(witness))
+        assert twin is not witness and twin == witness
+        assert check(gamma, twin) is var(n)
+
+    def test_pickle_keeps_shared_subproofs_shared(self):
+        shared = ModusPonens(Premise(p0), Premise(Implies(p0, p1)))
+        proof = and_intro(shared, shared)
+        witness = Oracle().provable([], schwicht_p(8)).witness
+        for original in (proof, witness):
+            twin = pickle.loads(pickle.dumps(original))
+            nodes = postorder([twin], _children)
+            assert twin == original
+            assert len(nodes) == len(postorder([original], _children))
+            assert tree_size(twin) == tree_size(original) > len(nodes)
+        twin = pickle.loads(pickle.dumps(proof))
+        assert len([node for node in postorder([twin], _children)
+                    if node == shared]) == 1
+
+    def test_pickle_keeps_values_that_are_not_nodes(self):
+        node = ModusPonens(Premise(p0), None)
+        assert pickle.loads(pickle.dumps(node)) == node
 
     def test_deep_witness_eq_and_hash(self):
         # 3000 modus ponens steps deep; the dataclass == and hash recursed

@@ -9,22 +9,28 @@ that validity agrees along both constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Optional
 
-from .formula import Formula, render, variable_indices, variables
+from .formula import Formula, _ones, render, variable_indices, variables
 from .heyting import (FiniteHeytingAlgebra, Interpretation,
                       consequence_over_algebras, interpret, make_algebra,
                       make_interpretation, prime_filters, true_in_algebra,
                       validate_algebra)
-from .kripke import (KripkeModel, _closed_subsets, _ModelFamily, make_model,
+from .kripke import (KripkeModel, _closed_masks, _ModelFamily, make_model,
                      truth_mask, valid_in_model, validate_model)
 
 
 def closed_sets(model: KripkeModel) -> list:
     """All upward-closed world sets, ordered by (size, elements)."""
-    return sorted(_closed_subsets(model.rel, model.worlds, up=True),
-                  key=lambda s: (len(s), tuple(sorted(s))))
+    return list(map(frozenset, map(_ones, _closed_set_masks(model))))
+
+
+def _closed_set_masks(model: KripkeModel) -> list:
+    """The masks of closed_sets(model), in its order."""
+    return sorted(_closed_masks(model.rel, model.worlds, up=True),
+                  key=lambda m: (m.bit_count(), tuple(_ones(m))))
 
 
 @dataclass(frozen=True)
@@ -43,15 +49,22 @@ def closed_set_algebra(model: KripkeModel, name: str = "") -> ClosedSetAlgebra:
     of A minus B."""
     if validate_model(model):
         raise ValueError("closed_set_algebra requires a valid model")
-    sets = tuple(closed_sets(model))
-    masks = [sum(1 << w for w in s) for s in sets]
+    masks = _closed_set_masks(model)
+    sets = tuple(map(frozenset, map(_ones, masks)))
     index = {m: i for i, m in enumerate(masks)}
     _, full, down = model.masks
     size = len(sets)
     le = [[a & ~b == 0 for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
     join = [[index[a | b] for b in masks] for a in masks]
-    himp = [[index[full & ~down(a & ~b)] for b in masks] for a in masks]
+    # himp(A, B) depends on A minus B alone: each distinct difference d is
+    # walked down once, from d minus its lowest world when that came first
+    imp, downs = {}, {0: 0}
+    for d in sorted({a & ~b for a in masks for b in masks}, key=int.bit_count):
+        rest = d & (d - 1)
+        downs[d] = downs[rest] | down(d ^ rest) if rest in downs else down(d)
+        imp[d] = index[full & ~downs[d]]
+    himp = [[imp[a & ~b] for b in masks] for a in masks]
     alg = make_algebra(size, le, meet, join, himp, index[0], index[full],
                        name or f"Up({model.worlds}w)")
     bad = validate_algebra(alg)
@@ -191,6 +204,10 @@ def validity_harness(formulas, models, algebras) -> HarnessReport:
     forces a formula over many models."""
     formulas = list(formulas)
     family = _ModelFamily(models, variable_indices(formulas))
+    # each refuting model and witness is transferred once, when first met
+    algebra_of = cache(lambda i: closed_set_algebra(models[i]))
+    frame_of = cache(lambda w: prime_filter_frame(
+        algebras[w[0]], Interpretation(algebras[w[0]], w[1])))
     entries = []
     for phi in formulas:
         kripke = family.consequence([], phi)
@@ -203,19 +220,15 @@ def validity_harness(formulas, models, algebras) -> HarnessReport:
         bridged_algebra = None
         bridged_frame = None
         if kripke_witness is not None:
-            model = models[kripke_witness[0]]
-            csa = closed_set_algebra(model)
-            interp = canonical_interpretation(csa, phi)
+            interp = canonical_interpretation(
+                algebra_of(kripke_witness[0]), phi)
             bridged_algebra = not true_in_algebra(interp, phi)
             if not bridged_algebra:
                 problems.append(
                     f"{render(phi)}: refuting model {kripke_witness[0]} did "
                     "not transfer to its closed-set algebra")
         if algebra_witness is not None:
-            alg = algebras[algebra_witness[0]]
-            interp = Interpretation(alg, algebra_witness[1])
-            frame = prime_filter_frame(alg, interp)
-            bridged_frame = not valid_in_model(frame, phi)
+            bridged_frame = not valid_in_model(frame_of(algebra_witness), phi)
             if not bridged_frame:
                 problems.append(
                     f"{render(phi)}: refuting algebra {algebra_witness[0]} did "

@@ -62,6 +62,12 @@ def _need(*modules) -> None:
 # and memory grow about fourfold per variable.
 MAX_HARNESS_CANDIDATES = 300_000
 
+# The most assignments, the sum of size^k over the algebras for k
+# variables, that harness evaluates one formula under.  Over the standard
+# ones 2,670,852 at k = 8 (`(p0 & ... & p6) -> p7 | p0` took 5.1 s on a
+# 2-core machine, 3.2 s of it in the algebras) and 14,810,256 at 9 (29 s).
+MAX_HARNESS_ASSIGNMENTS = 3_000_000
+
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -352,21 +358,23 @@ def _cmd_universe(args):
 def _cmd_harness(args):
     _need("kripke", "heyting", "catalog", "bridge")
     formulas = [_parse_formula(text) for text in args.formula]
-    if args.model:
-        models = [_load_model(path) for path in args.model]
-    else:
-        idx = tuple(variable_indices(formulas))
-        if sum(_candidate_count(len(idx), n) for n in (1, 2)) > \
-                MAX_HARNESS_CANDIDATES:
-            raise UsageError(
-                f"the default models over {len(idx)} variables have more "
-                f"than MAX_HARNESS_CANDIDATES = {MAX_HARNESS_CANDIDATES} "
-                "candidate valuations; give models with --model")
-        models = [m for n in (1, 2) for m in _models(idx, n)]
-    if args.algebra:
-        algebras = [_load_algebra(path) for path in args.algebra]
-    else:
-        algebras = list(standard_algebras())
+    idx = tuple(variable_indices(formulas))
+    if not args.model and sum(_candidate_count(len(idx), n)
+                              for n in (1, 2)) > MAX_HARNESS_CANDIDATES:
+        raise UsageError(
+            f"the default models over {len(idx)} variables have more "
+            f"than MAX_HARNESS_CANDIDATES = {MAX_HARNESS_CANDIDATES} "
+            "candidate valuations; give models with --model")
+    algebras = ([_load_algebra(path) for path in args.algebra]
+                or list(standard_algebras()))
+    k = max(len(variable_indices([phi])) for phi in formulas)
+    if sum(alg.size ** k for alg in algebras) > MAX_HARNESS_ASSIGNMENTS:
+        raise UsageError(
+            f"the algebras have more than MAX_HARNESS_ASSIGNMENTS = "
+            f"{MAX_HARNESS_ASSIGNMENTS} assignments of {k} variables; "
+            "give smaller algebras with --algebra")
+    models = ([_load_model(path) for path in args.model]
+              or [m for n in (1, 2) for m in _models(idx, n)])
     report = validity_harness(formulas, models, algebras)
     payload = {
         "entries": [{

@@ -2,12 +2,13 @@
 
 Algebras are dense tables: an order relation plus meet, join and
 relative pseudocomplement (himp) operation tables over elements
-0..size-1.  Completion and validation run on bitmasks of the elements
-below and above each element, and one evaluator computes a formula
-under a block of assignments at a time.  Filter machinery includes
-generated filters (computed two ways and cross-checked), prime filter
-enumeration and the finite replacement of the Zorn argument for
-extending a filter to a prime filter avoiding a point.
+0..size-1.  Completion, validation and the filter machinery run on
+bitmasks of the elements below and above each element, and one
+evaluator computes a formula under a block of assignments at a time.
+The filter machinery covers generated filters (computed two ways and
+cross-checked), prime filter enumeration in one pass over the pairs of
+elements, and the finite replacement of the Zorn argument for extending
+a filter to a prime filter avoiding a point.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class FiniteHeytingAlgebra:
         rng = range(self.size)
         out = (frozenset(compress(rng, row)) for row in self.le)
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+    @cached_property
+    def masks(self) -> tuple:
+        """(down, up), the order masks of _masks."""
+        return _masks(self.le)
 
 
 @dataclass(frozen=True)
@@ -291,30 +297,33 @@ def is_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
                            for x in s)
 
 
-def _meet_fold(alg: FiniteHeytingAlgebra, xs) -> int:
-    out = alg.top
-    for x in xs:
-        out = alg.meet[out][x]
-    return out
+def _generated(alg: FiniteHeytingAlgebra, mask: int) -> int:
+    """The up-set of the meet of the elements of mask, folded in ascending
+    order: the least filter holding them.  It must equal the intersection
+    of the up-sets of the holders, the elements below all of them."""
+    down, up = alg.masks
+    inf, holders = alg.top, (1 << alg.size) - 1
+    for x in _ones(mask):
+        inf, holders = alg.meet[inf][x], holders & down[x]
+    if reduce(and_, map(up.__getitem__, _ones(holders)), -1) != up[inf]:
+        raise RuntimeError(f"generated-filter characterizations disagree "
+                           f"on {list(_ones(mask))}")
+    return up[inf]
+
+
+def _element_mask(alg: FiniteHeytingAlgebra, s: frozenset, what: str) -> int:
+    outside = s.difference(range(alg.size))
+    if outside:
+        raise ValueError(f"{what} {min(outside)} is not an element of the "
+                         f"{alg.size}-element algebra")
+    return sum(1 << e for e in s)
 
 
 def generated_filter(alg: FiniteHeytingAlgebra, subset) -> frozenset:
-    """Least filter including the subset.
-
-    Computed both as the intersection of all filters including the subset
-    and as the upward closure of finite meets; the two must agree.
-    """
-    s = frozenset(subset)
-    members = None
-    for cand in alg.filters:
-        if s <= cand:
-            members = cand if members is None else members & cand
-    inf = _meet_fold(alg, sorted(s))
-    by_meets = frozenset(compress(range(alg.size), alg.le[inf]))
-    if members != by_meets:
-        raise RuntimeError(
-            f"generated-filter characterizations disagree on {sorted(s)}")
-    return by_meets
+    """Least filter including the subset, computed both as the intersection
+    of all filters including it and as the upward closure of its meet."""
+    mask = _element_mask(alg, frozenset(subset), "generating element")
+    return frozenset(_ones(_generated(alg, mask)))
 
 
 def is_proper_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
@@ -332,8 +341,19 @@ def is_prime_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
 
 
 def prime_filters(alg: FiniteHeytingAlgebra) -> list:
-    """All prime filters, sorted by (size, elements)."""
-    return [f for f in alg.filters if is_prime_filter(alg, f)]
+    """All prime filters, sorted by (size, elements).  One pass over the
+    pairs (x, y) sets bit a of bad when the up-set of a holds x and y but
+    not their meet, their join but neither, or x but not y above x."""
+    down, up = alg.masks
+    bad = down[alg.bot]
+    for x, dx in enumerate(down):
+        for dy, m, j, above in zip(down, alg.meet[x], alg.join[x], alg.le[x]):
+            bad |= dx & dy & ~down[m] | down[j] & ~(dx | dy)
+            if above:
+                bad |= dx & ~dy
+    good = {frozenset(_ones(u)) for a, u in enumerate(up)
+            if u and not bad >> a & 1}
+    return [f for f in alg.filters if f in good]
 
 
 def super_prime_filter(alg: FiniteHeytingAlgebra, flt, x: int) -> frozenset:
@@ -341,28 +361,22 @@ def super_prime_filter(alg: FiniteHeytingAlgebra, flt, x: int) -> frozenset:
     maximal filter avoiding x.  Primeness of the maximal avoider is a
     theorem at finite size; it is asserted, not assumed."""
     f = frozenset(flt)
-    outside = f.difference(range(alg.size))
-    if outside:
-        raise ValueError(f"filter element {min(outside)} is not an element "
-                         f"of the {alg.size}-element algebra")
-    if x not in range(alg.size):
-        raise ValueError(f"avoided point {x} is not an element of the "
-                         f"{alg.size}-element algebra")
+    current = _element_mask(alg, f, "filter element")
+    avoid = _element_mask(alg, {x}, "avoided point")
     if not is_filter(alg, f):
         raise ValueError("super_prime_filter requires a filter")
-    if x in f:
+    if current & avoid:
         raise ValueError("super_prime_filter requires x outside the filter")
-    current = f
     for e in range(alg.size):
-        if e in current:
-            continue
-        grown = generated_filter(alg, current | {e})
-        if x not in grown:
-            current = grown
-    if not is_prime_filter(alg, current):
+        if not current >> e & 1:
+            grown = _generated(alg, current | 1 << e)
+            if not grown & avoid:
+                current = grown
+    out = frozenset(_ones(current))
+    if not is_prime_filter(alg, out):
         raise RuntimeError(
-            f"maximal filter avoiding {x} is not prime: {sorted(current)}")
-    return current
+            f"maximal filter avoiding {x} is not prime: {sorted(out)}")
+    return out
 
 
 def prime_filter_avoiding(alg: FiniteHeytingAlgebra, x: int) -> frozenset:

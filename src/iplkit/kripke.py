@@ -35,14 +35,13 @@ MAX_COUNTERMODEL_VALUATIONS = 20_000
 MAX_JSON_WORLDS = 1 << 10
 MAX_JSON_VARS = 1 << 16
 
-# The most closed world sets _closed_subsets returns.  An n-world model
-# has at most 2^n, so every model of up to 9 worlds stays under the cap.
-# closed_set_algebra builds and validates tables over the sets; through
-# `iplkit bridge k2a` on a 2-core machine that took 0.2 s for the 101
-# sets of a 100-world chain, 1.3 s for the 256 of an 8-world antichain,
-# 7.4 s and 120 MB for the 512 of a 9-world one and 12.6 s and 162 MB
-# for the 512 of a 511-world chain: about six times as long for each
-# doubling of the sets.
+# The most closed world sets _closed_masks returns: an n-world model has
+# at most 2^n, so every model of up to 9 worlds stays under the cap.
+# `iplkit bridge k2a`, which builds and validates closed_set_algebra's
+# tables, took on a 2-core machine 0.15 s for the 101 sets of a 100-world
+# chain, 0.27 s for the 256 of an 8-world antichain, 1.3 s and 123 MB for
+# the 512 of a 9-world one and 3.1-4.0 s and 161 MB for the 512 of a
+# 511-world chain (1.4 s and 5.7 s with frozenset tables).
 MAX_CLOSED_SETS = 512
 
 # Labeled preorders on 1, 2, ... worlds: _canonical_preorders builds each
@@ -484,7 +483,12 @@ def _preorders(n: int) -> tuple:
 
 
 def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:
-    """The up-closed (or down-closed) subsets of range(n), in mask order:
+    """The sets of worlds of _closed_masks(rel, n, up)."""
+    return [frozenset(_ones(mask)) for mask in _closed_masks(rel, n, up)]
+
+
+def _closed_masks(rel: frozenset, n: int, up: bool) -> list:
+    """The up-closed (or down-closed) subsets of range(n) as sorted masks:
     the unions of the worlds' principal up-sets (or down-sets) under the
     reflexive-transitive closure of rel.  Raises ValueError for a pair
     outside range(n), and once the family passes MAX_CLOSED_SETS."""
@@ -503,7 +507,7 @@ def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:
             raise ValueError(
                 f"more than MAX_CLOSED_SETS = {MAX_CLOSED_SETS} "
                 f"{'up' if up else 'down'}-closed world sets")
-    return [frozenset(_ones(mask)) for mask in sorted(found)]
+    return sorted(found)
 
 
 def _rel_key(rel: frozenset) -> tuple:
@@ -562,7 +566,7 @@ def enumerate_models(num_vars: int, num_worlds: int) -> Iterator[KripkeModel]:
 @lru_cache(maxsize=None)
 def _up_set_counts(n: int) -> tuple:
     """The number of up-sets of each canonical preorder on n worlds."""
-    return tuple(len(_closed_subsets(rel, n, up=True))
+    return tuple(len(_closed_masks(rel, n, up=True))
                  for rel in _canonical_preorders(n))
 
 

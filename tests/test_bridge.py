@@ -1,5 +1,6 @@
 import pytest
 
+from iplkit import bridge
 from iplkit.bridge import (algebra_model_agreement,
                            algebras_isomorphic, canonical_interpretation,
                            closed_set_algebra, closed_sets,
@@ -191,6 +192,34 @@ class TestHarness:
         entry = report.entries[0]
         assert not entry.kripke_valid and not entry.algebra_valid
         assert entry.bridged_algebra_refutes and entry.bridged_frame_refutes
+        assert report.discrepancies == []
+
+    def test_transfers_built_once_per_witness(self, monkeypatch):
+        """The first harness group of the benchmark's algebra workload:
+        model 20 refutes two of the three formulas and the algebra
+        witness (1, ((0, 1),)) two as well, so one closed-set algebra
+        and two prime-filter frames are built.  The report is the one
+        that each formula gets alone."""
+        formulas = [parse(t) for t in (
+            "p0 | ~p0", "~~p0 -> p0", "(p0 -> p1) | (p1 -> p0)")]
+        models = [m for n in (1, 2) for m in enumerate_models(2, n)]
+        algebras = list(standard_algebras())
+        built = []
+        for name in ("closed_set_algebra", "prime_filter_frame"):
+            def counted(*args, real=getattr(bridge, name), name=name):
+                built.append(name)
+                return real(*args)
+            monkeypatch.setattr(bridge, name, counted)
+        report = validity_harness(formulas, models, algebras)
+        assert [(e.kripke_witness, e.algebra_witness)
+                for e in report.entries] == [
+            ((20, 0), (1, ((0, 1),))), ((20, 0), (1, ((0, 1),))),
+            (None, (8, ((0, 1), (1, 2))))]
+        assert sorted(built) == ["closed_set_algebra", "prime_filter_frame",
+                                 "prime_filter_frame"]
+        assert report.entries == tuple(
+            e for phi in formulas
+            for e in validity_harness([phi], models, algebras).entries)
         assert report.discrepancies == []
 
     def test_exfalso_valid_both_sides(self):

@@ -8,8 +8,10 @@ import time
 import pytest
 
 import iplkit
-from iplkit.cli import MAX_HARNESS_CANDIDATES, main
+from iplkit.cli import (MAX_HARNESS_ASSIGNMENTS, MAX_HARNESS_CANDIDATES,
+                        main)
 from iplkit.formula import Implies, Or, neg, render, var
+from iplkit.catalog import standard_algebras
 from iplkit.heyting import algebra_to_json, chain
 from iplkit.kripke import _candidate_count, model_to_json, make_model
 from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj, check,
@@ -418,6 +420,21 @@ class TestPipelines:
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
         assert "give models with --model" in err
+
+    def test_harness_algebras_are_capped(self, capsys):
+        """Nine variables pass the cap on the default models but not the
+        one on the assignments over the standard algebras; eight pass
+        both."""
+        def assignments(k):
+            return sum(alg.size ** k for alg in standard_algebras())
+        assert assignments(8) <= MAX_HARNESS_ASSIGNMENTS < assignments(9)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "harness", "--formula",
+            "(p0 & p1 & p2 & p3 & p4 & p5 & p6 & p7) -> p8 | p0")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "MAX_HARNESS_ASSIGNMENTS" in err and "--algebra" in err
 
 
 # the directory that holds the iplkit package this suite imported

@@ -8,7 +8,9 @@ corrupted in one to three entries, and on algebras past 128 and 256
 elements the same residuation violations on the rows checked;
 consequence must give the same verdict with the same first refuting
 assignment, and interpretation the same element or the same error for
-the leftmost unassigned variable.
+the leftmost unassigned variable.  Prime filters, generated filters,
+greedy prime filters and closed-set algebras must give the same result
+or the same error, on lawful and on broken tables.
 """
 
 import random
@@ -19,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_heyting
 
-from iplkit import heyting
+from iplkit import heyting, kripke
+from iplkit.bridge import closed_set_algebra
 from iplkit.catalog import standard_algebras
 from iplkit.formula import BOT, And, Implies, Or, neg, postorder, var
 from iplkit.heyting import (AlgConsequenceVerdict, _table, chain,
@@ -27,6 +30,7 @@ from iplkit.heyting import (AlgConsequenceVerdict, _table, chain,
                             himp_from_order, interpret, lattice_from_le,
                             make_algebra, make_interpretation,
                             product_algebra, validate_algebra, Violation)
+from iplkit.kripke import KripkeModel, enumerate_models, make_model
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -315,3 +319,132 @@ def test_interpret_matches_reference(phi, assignment, alg):
             interp.algebra, postorder([phi]), interp.element)[id(phi)]
 
     assert outcome(interpret, interp, phi) == outcome(reference, interp, phi)
+
+
+# ---------------------------------------------------------------------------
+# Filters on order masks against the frozenset scans.
+# ---------------------------------------------------------------------------
+
+
+def assert_filters_agree(alg, subsets, points) -> None:
+    """prime_filters on the algebra, generated_filter on each subset and
+    super_prime_filter on each subset and point give the same result, or
+    raise the same error class with the same message, as the reference."""
+    assert heyting.prime_filters(alg) == reference_heyting.prime_filters(alg)
+    for s in ({alg.size}, {-1, 0}):
+        assert outcome(heyting.super_prime_filter, alg, s, 0) == \
+            outcome(reference_heyting.super_prime_filter, alg, s, 0)
+    for s in subsets:
+        assert outcome(heyting.generated_filter, alg, s) == \
+            outcome(reference_heyting.generated_filter, alg, s)
+        for x in points:
+            assert outcome(heyting.super_prime_filter, alg, s, x) == \
+                outcome(reference_heyting.super_prime_filter, alg, s, x)
+
+
+def some_subsets(alg, rnd, count: int) -> list:
+    """The filters, the empty set and count random subsets."""
+    rng = range(alg.size)
+    return list(alg.filters) + [frozenset()] + [
+        frozenset(x for x in rng if rnd.random() < 0.5) for _ in range(count)]
+
+
+@SETTINGS
+@given(relations(), st.randoms(use_true_random=False))
+def test_random_relations_filters_match_reference(le, rnd):
+    """On the completed algebra when the relation completes, and on the
+    relation with random meet, join and himp tables and random bounds,
+    which break the laws in every way."""
+    n = len(le)
+    points = list(range(n)) + [-1, n]
+    tables = assert_completion_agrees(le)
+    if tables:
+        alg = make_algebra(n, *tables)
+        assert_filters_agree(alg, some_subsets(alg, rnd, 4), points)
+
+    def table():
+        return [[rnd.randrange(n) for _ in range(n)] for _ in range(n)]
+
+    alg = make_algebra(n, le, table(), table(), table(), rnd.randrange(n),
+                       rnd.randrange(n))
+    assert_filters_agree(alg, some_subsets(alg, rnd, 4), points)
+
+
+@SETTINGS
+@given(CHAINS, st.randoms(use_true_random=False))
+def test_products_of_chains_filters_match_reference(lengths, rnd):
+    perm = list(range(size_of(lengths)))
+    rnd.shuffle(perm)
+    alg = make_algebra(len(perm), *assert_completion_agrees(
+        product_le(lengths, perm)))
+    assert_filters_agree(alg, some_subsets(alg, rnd, 8), range(alg.size))
+
+
+@pytest.mark.parametrize("alg", [
+    product_algebra(chain(3), chain(4)), C3C2C2,
+    product_algebra(chain(5), product_algebra(chain(2), chain(3)))],
+    ids=lambda alg: alg.name)
+def test_product_algebras_filters_match_reference(alg):
+    assert_filters_agree(alg, some_subsets(alg, random.Random(alg.size), 16),
+                         range(alg.size))
+
+
+def test_chain_257_filters_match_reference():
+    alg = chain(257)
+    assert heyting.prime_filters(alg) == reference_heyting.prime_filters(alg)
+    for s, x in (({256}, 0), ({256}, 255), ({3, 200}, 2), (range(40, 257), 7),
+                 ({5, 6}, 6)):
+        assert outcome(heyting.super_prime_filter, alg, s, x) == \
+            outcome(reference_heyting.super_prime_filter, alg, s, x)
+        assert outcome(heyting.generated_filter, alg, s) == \
+            outcome(reference_heyting.generated_filter, alg, s)
+
+
+def test_generated_filter_rejects_points_outside_the_algebra():
+    for s in ({3}, {0, -1}):
+        with pytest.raises(ValueError, match="is not an element of the 3-"):
+            heyting.generated_filter(chain(3), s)
+
+
+# ---------------------------------------------------------------------------
+# Closed-set algebras from masks against the frozenset build.
+# ---------------------------------------------------------------------------
+
+
+def assert_closed_sets_agree(model) -> None:
+    got = outcome(closed_set_algebra, model)
+    assert got == outcome(reference_heyting.closed_set_algebra, model)
+    if got[0] == "ok":
+        assert got[1].algebra.name == \
+            reference_heyting.closed_set_algebra(model).algebra.name
+
+
+@pytest.mark.parametrize("worlds", [1, 2, 3, 4])
+def test_enumerated_models_closed_sets_match_reference(worlds):
+    for model in enumerate_models(1 if worlds < 4 else 0, worlds):
+        assert_closed_sets_agree(model)
+
+
+@SETTINGS
+@given(relations(), st.randoms(use_true_random=False))
+def test_random_models_closed_sets_match_reference(rel, rnd):
+    """Models on the random relations, closed or not, with monotone or
+    arbitrary valuations."""
+    n = len(rel)
+    pairs = [(a, b) for a in range(n) for b in range(n) if rel[a][b]]
+    val = {v: [w for w in range(n) if rnd.random() < 0.5] for v in range(2)}
+    for relation in (pairs, kripke._closure(pairs, n)):
+        assert_closed_sets_agree(make_model(n, relation, val))
+        assert_closed_sets_agree(make_model(n, relation, {}))
+
+
+def test_closed_set_errors_match_reference():
+    """A pair outside range(n), and more than MAX_CLOSED_SETS up-sets,
+    which the ten-world antichain has."""
+    outside = KripkeModel(2, frozenset({(0, 0), (1, 1), (0, 5), (5, 5)}), ())
+    antichain = make_model(10, {(w, w) for w in range(10)}, {})
+    for model in (outside, antichain):
+        got = outcome(closed_set_algebra, model)
+        assert got[0] is ValueError
+        assert got == outcome(reference_heyting.closed_set_algebra, model)
+    assert_closed_sets_agree(make_model(7, {(w, w) for w in range(7)}, {}))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import insort
 from importlib import import_module
 
 from .formula import (ParseError, decode, encode, parse, render,
@@ -307,15 +308,23 @@ def _cmd_saturate_pair(args):
         return EXIT_UNKNOWN, {"error": str(exc)}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    final = trace[-1]
-    def side(formulas):
-        return [render(f) for f in sorted(formulas, key=universe.code)]
+    text = [render(f) for f in universe.items]
+    # each pair's sides hold those of the pair before it, so a side keeps
+    # its universe positions in order by inserting only what it gains
+    left, right, steps = [], [], []
+    before = make_pair((), ())
+    for p in trace:
+        for f in p.left - before.left:
+            insort(left, universe.code(f))
+        for f in p.right - before.right:
+            insort(right, universe.code(f))
+        before = p
+        steps.append({"left": [text[i] for i in left],
+                      "right": [text[i] for i in right]})
     return EXIT_POSITIVE, {
-        "left": side(final.left),
-        "right": side(final.right),
+        **steps[-1],
         "universe_size": len(universe),
-        "trace": [{"left": side(p.left), "right": side(p.right)}
-                  for p in trace],
+        "trace": steps,
     }
 
 

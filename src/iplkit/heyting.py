@@ -297,33 +297,49 @@ def is_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
                            for x in s)
 
 
-def _generated(alg: FiniteHeytingAlgebra, mask: int) -> int:
-    """The up-set of the meet of the elements of mask, folded in ascending
-    order: the least filter holding them.  It must equal the intersection
-    of the up-sets of the holders, the elements below all of them."""
+def _generated(alg: FiniteHeytingAlgebra, xs: list) -> int:
+    """The meet of the elements xs, folded in the order given: its up-set
+    is the least filter holding them.  That up-set must equal the
+    intersection of the up-sets of the holders, the elements below all
+    of xs."""
     down, up = alg.masks
+    meet = alg.meet
     inf, holders = alg.top, (1 << alg.size) - 1
-    for x in _ones(mask):
-        inf, holders = alg.meet[inf][x], holders & down[x]
-    if reduce(and_, map(up.__getitem__, _ones(holders)), -1) != up[inf]:
-        raise RuntimeError(f"generated-filter characterizations disagree "
-                           f"on {list(_ones(mask))}")
-    return up[inf]
+    for x in xs:
+        inf, holders = meet[inf][x], holders & down[x]
+    common = -1
+    while holders:      # the holders are few: walk their bits inline
+        low = holders & -holders
+        common &= up[low.bit_length() - 1]
+        holders ^= low
+    if common != up[inf]:
+        raise RuntimeError(
+            f"generated-filter characterizations disagree on {xs}")
+    return inf
+
+
+def _outside(alg: FiniteHeytingAlgebra, x, what: str) -> ValueError:
+    return ValueError(f"{what} {x} is not an element of the {alg.size}-"
+                      f"element algebra")
 
 
 def _element_mask(alg: FiniteHeytingAlgebra, s: frozenset, what: str) -> int:
     outside = s.difference(range(alg.size))
     if outside:
-        raise ValueError(f"{what} {min(outside)} is not an element of the "
-                         f"{alg.size}-element algebra")
+        raise _outside(alg, min(outside), what)
     return sum(1 << e for e in s)
 
 
 def generated_filter(alg: FiniteHeytingAlgebra, subset) -> frozenset:
     """Least filter including the subset, computed both as the intersection
-    of all filters including it and as the upward closure of its meet."""
-    mask = _element_mask(alg, frozenset(subset), "generating element")
-    return frozenset(_ones(_generated(alg, mask)))
+    of all filters including it and as the upward closure of its meet,
+    folded in ascending order."""
+    xs = sorted(frozenset(subset))
+    rng = range(alg.size)
+    for x in xs:
+        if x not in rng:
+            raise _outside(alg, x, "generating element")
+    return frozenset(compress(rng, alg.le[_generated(alg, xs)]))
 
 
 def is_proper_filter(alg: FiniteHeytingAlgebra, subset) -> bool:
@@ -367,9 +383,10 @@ def super_prime_filter(alg: FiniteHeytingAlgebra, flt, x: int) -> frozenset:
         raise ValueError("super_prime_filter requires a filter")
     if current & avoid:
         raise ValueError("super_prime_filter requires x outside the filter")
+    up = alg.masks[1]
     for e in range(alg.size):
         if not current >> e & 1:
-            grown = _generated(alg, current | 1 << e)
+            grown = up[_generated(alg, list(_ones(current | 1 << e)))]
             if not grown & avoid:
                 current = grown
     out = frozenset(_ones(current))

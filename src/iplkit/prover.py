@@ -64,14 +64,19 @@ class Prover:
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
         self.max_depth = max_depth
         self._memo: dict = {}
+        self._contexts: dict = {}   # (parent, hypothesis) -> child context
 
     def prove(self, premises, goal: Formula) -> Optional[ProofTerm]:
-        """A proof term for premises |- goal, or None if there is none."""
+        """A proof term for premises |- goal, or None if there is none.
+        The replay's contexts live in _contexts until it returns."""
         key = (frozenset(premises), goal)
         if self._drive(None, key) is None:
             return None
         root = _Context(None, None, dict.fromkeys(key[0], _PREMISE))
-        return self._drive(root, key)
+        try:
+            return self._drive(root, key)
+        finally:
+            self._contexts.clear()
 
     def countermodel(self, premises, goal: Formula) -> Optional[tuple]:
         """(model, 0) for a Kripke model whose world 0 forces the premises
@@ -153,7 +158,7 @@ class Prover:
         if rule == _EXFALSO:
             return _then(c, BOT, ctx.fact(BOT), Exfalso(goal))
         if rule == _IMP_R:
-            p = yield ctx.child(goal.lhs), subs[0]
+            p = yield ctx.child(goal.lhs, self._contexts), subs[0]
             return p if c is None else Exportation(p)
         if rule == _AND_R:
             p = yield ctx, subs[0]
@@ -167,8 +172,8 @@ class Prover:
                          inject(goal.lhs, goal.rhs))
         if rule == _OR_L:
             a, b = delta.lhs, delta.rhs
-            p = yield ctx.child(a), subs[0]
-            q = yield ctx.child(b), subs[1]
+            p = yield ctx.child(a, self._contexts), subs[0]
+            q = yield ctx.child(b, self._contexts), subs[1]
             if c is None:
                 return ModusPonens(ctx.fact(delta), _or_elim(a, b, goal, p, q))
             split = _or_elim(a, b, Implies(c, goal),
@@ -424,23 +429,30 @@ class _Context:
     are proofs of f from the premises; the formula of a context below it
     is its hypothesis h at depth 1 and And(parent.formula, h) deeper, and
     its facts map a formula f to a proof of formula -> f.  built memoizes
-    the replay per sequent."""
+    the replay per sequent.
 
-    __slots__ = ("formula", "parent", "facts", "built", "_children", "_proj")
+    A context links to its parent only.  The replay owns its contexts:
+    Prover._contexts maps (parent, hypothesis) to the child during one
+    prove() call and is emptied when the call returns, so a query leaves
+    no reference cycle, and reference counting frees its contexts, facts
+    and replay memos then, and its witness when the caller drops it."""
+
+    __slots__ = ("formula", "parent", "facts", "built", "_proj")
 
     def __init__(self, formula: Optional[Formula], parent, facts: dict):
         self.formula = formula
         self.parent = parent
         self.facts = facts
         self.built: dict = {}
-        self._children: dict = {}
         self._proj = None
 
-    def child(self, hyp: Formula) -> "_Context":
-        out = self._children.get(hyp)
+    def child(self, hyp: Formula, contexts: dict) -> "_Context":
+        """The context below this one whose hypothesis is hyp, made on
+        first use and kept in the replay's table contexts."""
+        out = contexts.get((self, hyp))
         if out is None:
             formula = hyp if self.formula is None else And(self.formula, hyp)
-            out = self._children[hyp] = _Context(formula, self, {hyp: _HYP})
+            out = contexts[self, hyp] = _Context(formula, self, {hyp: _HYP})
         return out
 
     def provides(self, f: Formula) -> bool:

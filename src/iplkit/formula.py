@@ -7,6 +7,8 @@ syntax (parser and minimal-parenthesization renderer), a deterministic
 total order on formulas, and an injective encoding of formulas into
 natural numbers based on a pairing function.  Formulas are hash-consed:
 there is one node per structure, so equal formulas are identical.
+Formula nodes and the proof terms of iplkit.proof share one node
+protocol, _Frozen: one copy rule, one pickle program and one repr.
 """
 
 from __future__ import annotations
@@ -36,15 +38,14 @@ _RANKS = itertools.count()
 _INDEX_OF_RANK: dict = {}
 
 
-class _Node:
-    """An immutable, hash-consed formula node.  Constructors return the
-    one node per structure, so == is identity.  The hash is set at
-    construction and equals the dataclass hash of the fields, so sets of
-    formulas iterate in the same order in every process.  _vars is the
-    bitmask of the ranks of the variables below the node."""
+class _Frozen:
+    """The node protocol that formulas and proof terms share.  A node's
+    __match_args__ are its fields, in constructor order, and a field
+    value that is a _Frozen is a child.  A copy is the node itself, a
+    pickle is a _program, and the repr is the dataclass text."""
 
-    __slots__ = ("_hash", "_order", "_vars")
-    __match_args__: tuple = ()  # the fields, in constructor order
+    __slots__ = ()
+    __match_args__: tuple = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -52,28 +53,49 @@ class _Node:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __hash__(self):
-        return self._hash
-
     def __deepcopy__(self, memo=None):
         return self
 
     __copy__ = __deepcopy__
 
     def __reduce__(self):
-        # a flat program over the distinct nodes, replayed through the
-        # constructors, so that unpickling re-interns at any depth
-        return _rebuild, (_program(self),)
+        return _replay, (_program(self),)
 
     def __repr__(self):
-        return _dataclass_text(self, _OPERANDS)
+        return _dataclass_text(self)
 
 
-def _dataclass_text(root, fields: dict) -> str:
+def _fields(node) -> list:
+    return [getattr(node, name) for name in type(node).__match_args__]
+
+
+def _program(root) -> tuple:
+    """root as a post-order program over its distinct nodes.  A step is
+    (class, args): an int arg names the result of an earlier step, and
+    (value,) is a field value that is not a node.  Linear in the number
+    of distinct nodes, also where the tree is exponential."""
+    nodes = postorder([root], lambda node: [
+        v for v in _fields(node) if isinstance(v, _Frozen)])
+    step = {id(node): i for i, node in enumerate(nodes)}
+    return tuple((type(node), tuple(
+        step[id(v)] if isinstance(v, _Frozen) else (v,)
+        for v in _fields(node))) for node in nodes)
+
+
+def _replay(program: tuple):
+    """The node of a _program, built through the constructors."""
+    built: list = []
+    for cls, args in program:
+        built.append(cls(*(built[a] if type(a) is int else a[0]
+                           for a in args)))
+    return built[-1]
+
+
+def _dataclass_text(root) -> str:
     """Class(field=value, ...), the text a dataclass __repr__ gives for
     root, from a stack of pieces so that a value of any depth has one.
-    fields maps a class to the fields written out here; a value of any
-    other class is written with repr.  A piece is text or a value."""
+    A field value that is not a node is written with repr.  A piece is
+    text or a node."""
     out, stack = [], [root]
     while stack:
         item = stack.pop()
@@ -81,13 +103,26 @@ def _dataclass_text(root, fields: dict) -> str:
             out.append(item)
             continue
         pieces = [f"{type(item).__qualname__}("]
-        for i, name in enumerate(fields[type(item)]):
+        for i, name in enumerate(type(item).__match_args__):
             value = getattr(item, name)
             pieces += [f"{', ' if i else ''}{name}=",
-                       value if type(value) in fields else repr(value)]
+                       value if isinstance(value, _Frozen) else repr(value)]
         pieces.append(")")
         stack += reversed(pieces)
     return "".join(out)
+
+
+class _Node(_Frozen):
+    """An immutable, hash-consed formula node.  Constructors return the
+    one node per structure, so == is identity.  The hash is set at
+    construction and equals the dataclass hash of the fields, so sets of
+    formulas iterate in the same order in every process.  _vars is the
+    bitmask of the ranks of the variables below the node."""
+
+    __slots__ = ("_hash", "_order", "_vars")
+
+    def __hash__(self):
+        return self._hash
 
 
 def _intern(cls, key, values: tuple, hash_value: int, vars_mask: int):
@@ -146,7 +181,6 @@ class Implies(_Binary):
 
 
 _BINARY = (And, Or, Implies)
-_OPERANDS = {cls: cls.__match_args__ for cls in (Variable, Bottom, *_BINARY)}
 
 
 Formula = Union[Variable, Bottom, And, Or, Implies]
@@ -213,13 +247,7 @@ def variable_indices(formulas) -> list:
     mask = 0
     for f in formulas:
         mask |= f._vars
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(_INDEX_OF_RANK[low.bit_length() - 1])
-        mask ^= low
-    out.sort()
-    return out
+    return sorted(map(_INDEX_OF_RANK.__getitem__, _ones(mask)))
 
 
 def depth(phi: Formula) -> int:
@@ -229,36 +257,6 @@ def depth(phi: Formula) -> int:
         below[id(f)] = 1 + max(below[id(f.lhs)], below[id(f.rhs)]) \
             if type(f) in _BINARY else 1
     return below[id(phi)]
-
-
-def _program(phi: Formula) -> tuple:
-    """phi as a post-order program over its distinct nodes: () is bot,
-    (index,) a variable, and (tag, i, j) the connective _BINARY[tag] over
-    the results of steps i and j.  Linear in the number of distinct
-    nodes, also where the tree is exponential."""
-    nodes = postorder([phi])
-    step = {id(f): i for i, f in enumerate(nodes)}
-    out = []
-    for f in nodes:
-        kind = type(f)
-        if kind is Variable:
-            out.append((f.var.index,))
-        elif kind is Bottom:
-            out.append(())
-        else:
-            out.append((_BINARY.index(kind), step[id(f.lhs)], step[id(f.rhs)]))
-    return tuple(out)
-
-
-def _rebuild(program: tuple) -> Formula:
-    """The formula of a _program, interned through the constructors."""
-    built: list = []
-    for op in program:
-        if len(op) == 3:
-            built.append(_BINARY[op[0]](built[op[1]], built[op[2]]))
-        else:
-            built.append(var(op[0]) if op else BOT)
-    return built[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -574,7 +574,8 @@ def algebra_to_json(alg: FiniteHeytingAlgebra) -> dict:
 
 def algebra_from_json(obj) -> FiniteHeytingAlgebra:
     """Load an algebra; meet/join/himp are derived from the order when
-    absent.  The result is validated before use."""
+    absent, and a lone meet or join table must equal the derived one.
+    The result is validated before use."""
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
     if "le" not in obj:
@@ -587,8 +588,10 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
                          "integers")
     for what in ("le", "meet", "join", "himp"):
         rows = obj.get(what, [])
+        # an order entry may be a bool, an element may not
+        types = (int, bool) if what == "le" else (int,)
         if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row)
+                isinstance(row, list) and all(type(x) in types for x in row)
                 for row in rows):
             # a string or an object would be read through its iteration
             raise ValueError(f"malformed algebra JSON: {what} must be a "
@@ -608,6 +611,12 @@ def algebra_from_json(obj) -> FiniteHeytingAlgebra:
                 raise ValueError("declared bot disagrees with the order")
             if "top" in obj and obj["top"] != top:
                 raise ValueError("declared top disagrees with the order")
+            # a lone meet or join table is checked against the derived one
+            for what, derived in (("meet", meet), ("join", join)):
+                if what in obj and \
+                        _table(obj[what], size, what, int) != derived:
+                    raise ValueError(f"declared {what} disagrees with the "
+                                     "order")
         if "himp" in obj:
             himp = _table(obj["himp"], size, "himp", int)
         elif any(not 0 <= x < size for row in meet for x in row):

@@ -12,12 +12,13 @@ kinds the module provides a catalog of derived rules (every entry builds
 a term the checker accepts) and the deduction theorem as a proof
 transformation.
 
-Node classes are frozen dataclasses whose __init__, __repr__, == and
-hash are made here from NODE_KINDS: the __init__ stores each field
-through object.__setattr__, the __repr__ gives the dataclass text for a
-proof of any depth, == and hash give the dataclass results from walks
-that visit each distinct subproof once, a copy of a node is the node
-itself, and a pickle holds a flat program over the distinct subproofs.
+Node classes are frozen dataclasses on formula._Frozen, the node
+protocol that formulas use too: a copy of a node is the node itself, a
+pickle holds one post-order program over the distinct subproofs and
+formulas, and the repr is the dataclass text for a proof of any depth.
+Their __init__, == and hash are made here from NODE_KINDS: the __init__
+stores each field through object.__setattr__, and == and hash give the
+dataclass results from walks that visit each distinct subproof once.
 """
 
 from __future__ import annotations
@@ -26,96 +27,96 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .formula import (_TABLE, _dataclass_text, And, BOT, Formula, Implies,
-                      Or, parse, postorder, render)
+from .formula import (_TABLE, _Frozen, And, BOT, Formula, Implies, Or,
+                      parse, postorder, render)
 
-# Frozen dataclasses whose __init__, __repr__, == and hash _make_methods
-# adds below.
+# Frozen dataclasses whose __init__, == and hash _make_methods adds
+# below; _Frozen gives their copy, pickle and repr.
 # Each class has a docstring: without one, dataclass would build one from
 # the signature, which costs import time.
 _node = dataclass(frozen=True, init=False, repr=False, eq=False)
 
 
 @_node
-class Premise:
+class Premise(_Frozen):
     """gamma |- formula, for formula in gamma"""
     formula: Formula
 
 
 @_node
-class ContractionDisj:
+class ContractionDisj(_Frozen):
     """Axiom |- formula | formula -> formula"""
     formula: Formula
 
 
 @_node
-class ContractionConj:
+class ContractionConj(_Frozen):
     """Axiom |- formula -> formula & formula"""
     formula: Formula
 
 
 @_node
-class WeakeningDisj:
+class WeakeningDisj(_Frozen):
     """Axiom |- first -> first | second"""
     first: Formula
     second: Formula
 
 
 @_node
-class WeakeningConj:
+class WeakeningConj(_Frozen):
     """Axiom |- first & second -> first"""
     first: Formula
     second: Formula
 
 
 @_node
-class PermutationDisj:
+class PermutationDisj(_Frozen):
     """Axiom |- first | second -> second | first"""
     first: Formula
     second: Formula
 
 
 @_node
-class PermutationConj:
+class PermutationConj(_Frozen):
     """Axiom |- first & second -> second & first"""
     first: Formula
     second: Formula
 
 
 @_node
-class Exfalso:
+class Exfalso(_Frozen):
     """Axiom |- bot -> formula"""
     formula: Formula
 
 
 @_node
-class ModusPonens:
+class ModusPonens(_Frozen):
     """From minor: a and major: a -> b, infer b."""
     minor: "ProofTerm"
     major: "ProofTerm"
 
 
 @_node
-class Syllogism:
+class Syllogism(_Frozen):
     """From first: a -> b and second: b -> c, infer a -> c."""
     first: "ProofTerm"
     second: "ProofTerm"
 
 
 @_node
-class Exportation:
+class Exportation(_Frozen):
     """From sub: a & b -> c, infer a -> (b -> c)."""
     sub: "ProofTerm"
 
 
 @_node
-class Importation:
+class Importation(_Frozen):
     """From sub: a -> (b -> c), infer a & b -> c."""
     sub: "ProofTerm"
 
 
 @_node
-class Expansion:
+class Expansion(_Frozen):
     """From sub: a -> b, infer disjunct | a -> disjunct | b."""
     disjunct: Formula
     sub: "ProofTerm"
@@ -129,8 +130,7 @@ ProofTerm = Union[
 
 
 class NodeKind(NamedTuple):
-    """A node class as the kernel, the JSON format and the generated
-    __init__ and __repr__ see it."""
+    """A node class as the kernel and the JSON format see it."""
 
     rule: str                       # the name on the wire
     formulas: tuple                 # the Formula fields, in constructor order
@@ -236,20 +236,6 @@ NODE_KINDS = {cls: _kind(cls, rule, conclusion)
 )}
 
 
-# node class -> its field names, in constructor order
-_FIELDS = {cls: kind.formulas + kind.subproofs
-           for cls, kind in NODE_KINDS.items()}
-
-
-def _repr(self) -> str:
-    return _dataclass_text(self, _FIELDS)
-
-
-def _itself(self, memo=None):
-    """Nodes are immutable, so a copy is the node itself."""
-    return self
-
-
 def _eq(self, other):
     """The dataclass ==, fields compared in pairs of the same class, on
     an explicit stack that compares each pair of subproofs once."""
@@ -298,43 +284,14 @@ def _hash(self) -> int:
     return known[id(self)]
 
 
-def _reduce(self) -> tuple:
-    """Pickle as a post-order program over the distinct subproofs, which
-    _replay runs through the constructors, so that pickling does not
-    recurse once per level and a shared subproof stays one object.  A
-    step is (class, formula values, step indices of the subproofs), or
-    (value,) for a subproof field that holds no node."""
-    nodes = postorder([self], _children)
-    step = {id(node): i for i, node in enumerate(nodes)}
-    program = []
-    for node in nodes:
-        kind = NODE_KINDS.get(type(node))
-        program.append((node,) if kind is None else (
-            type(node), kind.formula_values(node),
-            tuple(step[id(k)] for k in kind.children(node))))
-    return _replay, (tuple(program),)
-
-
-def _replay(program: tuple):
-    """The proof of a _reduce program."""
-    built: list = []
-    for op in program:
-        if len(op) == 1:
-            built.append(op[0])
-        else:
-            cls, values, subproofs = op
-            built.append(cls(*values, *(built[i] for i in subproofs)))
-    return built[-1]
-
-
 def _make_methods() -> None:
     """Give every node class an __init__ with one parameter per field,
     in field order, that stores each through object.__setattr__ (the
-    classes are frozen), _repr as its __repr__, _eq and _hash as its ==
-    and hash, _itself as its __copy__ and __deepcopy__, and _reduce as
-    its __reduce__.  One exec defines all the __init__s."""
+    classes are frozen), and _eq and _hash as its == and hash.  One exec
+    defines all the __init__s."""
     source = []
-    for cls, names in _FIELDS.items():
+    for cls in NODE_KINDS:
+        names = cls.__match_args__
         source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
         source += [f"    _set(self, {name!r}, {name})" for name in names]
     scope: dict = {}
@@ -345,11 +302,8 @@ def _make_methods() -> None:
         init.__name__ = "__init__"
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
-        cls.__repr__ = _repr
         cls.__eq__ = _eq
         cls.__hash__ = _hash
-        cls.__copy__ = cls.__deepcopy__ = _itself
-        cls.__reduce__ = _reduce
 
 
 _make_methods()

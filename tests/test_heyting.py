@@ -374,6 +374,17 @@ class TestJson:
         with pytest.raises(ValueError):
             algebra_from_json(doc)
 
+    def test_a_lone_meet_or_join_table_is_checked(self):
+        # the missing table is derived from the order, and the given one
+        # must equal its derived value
+        doc = algebra_to_json(C3)
+        for what in ("meet", "join"):
+            lone = {"size": 3, "le": doc["le"], what: doc[what]}
+            assert algebra_from_json(lone) == C3
+            lone[what] = [[1] * 3] * 3
+            with pytest.raises(ValueError, match=f"declared {what} "):
+                algebra_from_json(lone)
+
 
 class TestCatalogShape:
     def test_names_and_sizes(self):

@@ -2,9 +2,12 @@ import copy
 import dataclasses
 import gc
 import json
+import os
 import pathlib
 import pickle
 import random
+import subprocess
+import sys
 import typing
 from itertools import product
 
@@ -14,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import reference_walks
 from test_witnesses import named_laws, schwicht_p
 
+import iplkit
 from iplkit.formula import (BOT, And, Implies, Or, neg, parse, postorder,
                             render, var)
 from iplkit.proof import (ArityMismatch, CATALOG, ContractionConj,
@@ -709,3 +713,39 @@ class TestRepr:
         assert text.startswith("Provable(witness=ModusPonens(minor=")
         assert text.count("ModusPonens(") == n
         assert text.count("Premise(") == n + 1
+
+
+class TestNodeProtocol:
+    """Formulas and proof terms share one node protocol: one pickle
+    program, one copy rule and one repr, also where the families nest."""
+
+    def test_a_fresh_process_rebuilds_a_witness(self):
+        chain = [p0] + [Implies(var(i), var(i + 1)) for i in range(40)]
+        queries = [([], schwicht_p(8)), (chain, var(40))]
+        cases = [(gamma, Oracle().provable(gamma, phi).witness)
+                 for gamma, phi in queries]
+        child = ("import pickle, sys\n"
+                 "from iplkit.formula import postorder, render\n"
+                 "from iplkit.proof import _children, check\n"
+                 "for gamma, witness in pickle.loads(sys.stdin.buffer.read()):\n"
+                 "    print(render(check(gamma, witness)),\n"
+                 "          len(postorder([witness], _children)))\n")
+        src = str(pathlib.Path(iplkit.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", child],
+                             input=pickle.dumps(cases), capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60, check=True)
+        assert out.stdout.decode() == "".join(
+            f"{render(phi)} {len(postorder([witness], _children))}\n"
+            for (_, phi), (_, witness) in zip(queries, cases))
+
+    def test_a_premise_over_a_deep_formula(self):
+        phi = p1
+        for _ in range(3000):
+            phi = Implies(p0, phi)
+        node = Premise(phi)
+        twin = pickle.loads(pickle.dumps(node))
+        assert twin == node and twin is not node and twin.formula is phi
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert repr(node) == f"Premise(formula={phi!r})"
+        assert repr(node).count("Implies(") == 3000

@@ -135,17 +135,17 @@ class TestMalformedInput:
         ("alg-valid", {"size": 1, "le": [[True]], "meet": [[0]],
                        "join": [[0]], "bot": False, "top": 0}, ["p0"]),
         ("alg-valid", {"size": 1, "le": [[True]], "top": 0.0}, ["p0"]),
-        ("alg-valid", {"size": 1, "le": [[True]], "meet": [[False]],
-                       "join": [[0]], "bot": 0, "top": 0}, ["p0"]),
-        # a lone meet table that is not the order's meet
-        ("alg-valid", {"size": 2, "le": [[True, True], [False, True]],
-                       "meet": [[1, 1], [1, 1]]}, ["p0"]),
         # past the size caps, beyond which the closure or the valuation
         # of a 60-byte file could exhaust memory
         ("valid", {"worlds": 1_000_000, "rel": [], "vars": 1, "val": {}},
          ["p0"]),
         ("valid", {"worlds": 1, "rel": [], "vars": 100_000_000, "val": {}},
          ["p0"]),
+        ("alg-valid", {"size": 1, "le": [[True]], "meet": [[False]],
+                       "join": [[0]], "bot": 0, "top": 0}, ["p0"]),
+        # a lone meet table that is not the order's meet
+        ("alg-valid", {"size": 2, "le": [[True, True], [False, True]],
+                       "meet": [[1, 1], [1, 1]]}, ["p0"]),
     ])
     def test_exit_2(self, capsys, tmp_path, command, doc, rest):
         path = tmp_path / "input.json"

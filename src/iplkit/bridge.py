@@ -8,12 +8,12 @@ that validity agrees along both constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from typing import Optional
 
-from .formula import Formula, _ones, render, variable_indices, variables
+from .formula import (Formula, _ones, _record, render, variable_indices,
+                      variables)
 from .heyting import (FiniteHeytingAlgebra, Interpretation,
                       consequence_over_algebras, interpret, make_algebra,
                       make_interpretation, prime_filters, true_in_algebra,
@@ -33,7 +33,7 @@ def _closed_set_masks(model: KripkeModel) -> list:
                   key=lambda m: (m.bit_count(), tuple(_ones(m))))
 
 
-@dataclass(frozen=True)
+@_record
 class ClosedSetAlgebra:
     model: KripkeModel
     sets: tuple  # closed sets, in canonical order; element i is sets[i]
@@ -174,7 +174,7 @@ def models_isomorphic(m1: KripkeModel, m2: KripkeModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class HarnessEntry:
     formula: Formula
     kripke_valid: bool
@@ -186,7 +186,7 @@ class HarnessEntry:
     discrepancies: tuple
 
 
-@dataclass(frozen=True)
+@_record
 class HarnessReport:
     entries: tuple
 

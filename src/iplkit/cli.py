@@ -404,116 +404,121 @@ def _cmd_harness(args):
     return code, payload
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+class _Retry(Exception):
+    """A parser of one command met an error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises _Retry where ArgumentParser prints its usage and exits."""
+
+    def error(self, message):
+        raise _Retry
+
+
+_FORMULA = ("formula", {})
+_GAMMA = ("--gamma", {"default": "", "help": "comma-separated premises"})
+_MODEL = ("model", {"help": "model JSON file"})
+_ALGEBRA = ("algebra", {"help": "algebra JSON file"})
+_VARS = ("--vars", {"type": int, "required": True})
+_DEPTH = ("--depth", {"type": int, "required": True,
+                      "help": "connective depth bound; atoms have depth 0"})
+
+# command -> (help, handler or table of subcommands, arguments), in the
+# order the help lists them; an argument is (name, add_argument keywords)
+_COMMANDS = {
+    "parse": ("parse a formula and echo its canonical form", _cmd_parse,
+              [_FORMULA]),
+    "encode": ("numeric code of a formula", _cmd_encode, [_FORMULA]),
+    "decode": ("formula of a numeric code, if any", _cmd_decode,
+               [("code", {"type": int})]),
+    "check-proof": ("check a proof JSON file", _cmd_check_proof,
+                    [("proof", {}), _GAMMA]),
+    "eval": ("truth of a formula at a world", _cmd_eval,
+             [_MODEL, ("world", {"type": int}), _FORMULA]),
+    "valid": ("truth of a formula at every world", _cmd_valid,
+              [_MODEL, _FORMULA]),
+    "countermodel": ("bounded countermodel search", _cmd_countermodel,
+                     [_FORMULA, _GAMMA,
+                      ("--max-worlds", {"type": int, "default": 4})]),
+    "alg-eval": ("algebraic value of a formula", _cmd_alg_eval,
+                 [_ALGEBRA, _FORMULA,
+                  ("--assign", {"default": "", "help": "e.g. 'p0=1,p1=0'"})]),
+    "alg-valid": ("algebraic validity over all assignments", _cmd_alg_valid,
+                  [_ALGEBRA, _FORMULA]),
+    "filters": ("all filters of an algebra", _cmd_filters,
+                [("algebra", {})]),
+    "prime-filters": ("all prime filters of an algebra", _cmd_prime_filters,
+                      [("algebra", {})]),
+    "super-prime": ("prime filter extending a filter and avoiding x",
+                    _cmd_super_prime, [
+                        ("algebra", {}),
+                        ("--filter", {"required": True,
+                                      "help": "comma-separated elements"}),
+                        ("--avoid", {"type": int, "required": True})]),
+    "bridge": ("semantic bridge constructions", {
+        "k2a": ("closed-set algebra of a model", _cmd_bridge_k2a,
+                [("model", {})]),
+        "a2k": ("prime-filter frame of an algebra", _cmd_bridge_a2k,
+                [("algebra", {}),
+                 ("--assign", {"default": "", "help": "e.g. 'p0=1'"})]),
+    }, []),
+    "saturate-pair": ("saturate a consistent pair over a universe",
+                      _cmd_saturate_pair, [
+                          ("--left", {"default": "",
+                                      "help": "comma-separated formulas"}),
+                          ("--right", {"default": "",
+                                       "help": "comma-separated formulas"}),
+                          _VARS, _DEPTH]),
+    "quotient": ("provable-equivalence quotient of a universe",
+                 _cmd_quotient, [_GAMMA, _VARS, _DEPTH]),
+    "universe": ("canonical formula universe", _cmd_universe,
+                 [_VARS, _DEPTH]),
+    "harness": ("cross-check Kripke and algebraic validity", _cmd_harness, [
+        ("--formula", {"action": "append", "required": True}),
+        ("--model", {"action": "append", "default": [],
+                     "help": "model JSON file (repeatable)"}),
+        ("--algebra", {"action": "append", "default": [],
+                       "help": "algebra JSON file (repeatable)"})]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The iplkit parser of _COMMANDS; given a command, one with only its
+    subparser (and all of that one's subcommands) that raises _Retry
+    where the full parser would report an error."""
+    top = (_OneCommandParser if command else argparse.ArgumentParser)(
         prog="iplkit",
         description="Intuitionistic propositional logic toolkit. "
                     "The environment variable IPLKIT_BUDGET (e.g. "
                     "'depth=512') sets the oracle's proof search depth.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula and echo its canonical form")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser("encode", help="numeric code of a formula")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_encode)
-
-    p = sub.add_parser("decode", help="formula of a numeric code, if any")
-    p.add_argument("code", type=int)
-    p.set_defaults(handler=_cmd_decode)
-
-    p = sub.add_parser("check-proof", help="check a proof JSON file")
-    p.add_argument("proof")
-    p.add_argument("--gamma", default="", help="comma-separated premises")
-    p.set_defaults(handler=_cmd_check_proof)
-
-    p = sub.add_parser("eval", help="truth of a formula at a world")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("world", type=int)
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("valid", help="truth of a formula at every world")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_valid)
-
-    p = sub.add_parser("countermodel", help="bounded countermodel search")
-    p.add_argument("formula")
-    p.add_argument("--gamma", default="", help="comma-separated premises")
-    p.add_argument("--max-worlds", type=int, default=4)
-    p.set_defaults(handler=_cmd_countermodel)
-
-    p = sub.add_parser("alg-eval", help="algebraic value of a formula")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("formula")
-    p.add_argument("--assign", default="", help="e.g. 'p0=1,p1=0'")
-    p.set_defaults(handler=_cmd_alg_eval)
-
-    p = sub.add_parser("alg-valid", help="algebraic validity over all assignments")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_alg_valid)
-
-    p = sub.add_parser("filters", help="all filters of an algebra")
-    p.add_argument("algebra")
-    p.set_defaults(handler=_cmd_filters)
-
-    p = sub.add_parser("prime-filters", help="all prime filters of an algebra")
-    p.add_argument("algebra")
-    p.set_defaults(handler=_cmd_prime_filters)
-
-    p = sub.add_parser("super-prime",
-                       help="prime filter extending a filter and avoiding x")
-    p.add_argument("algebra")
-    p.add_argument("--filter", required=True, help="comma-separated elements")
-    p.add_argument("--avoid", type=int, required=True)
-    p.set_defaults(handler=_cmd_super_prime)
-
-    p = sub.add_parser("bridge", help="semantic bridge constructions")
-    bsub = p.add_subparsers(dest="direction", required=True)
-    k2a = bsub.add_parser("k2a", help="closed-set algebra of a model")
-    k2a.add_argument("model")
-    k2a.set_defaults(handler=_cmd_bridge_k2a)
-    a2k = bsub.add_parser("a2k", help="prime-filter frame of an algebra")
-    a2k.add_argument("algebra")
-    a2k.add_argument("--assign", default="", help="e.g. 'p0=1'")
-    a2k.set_defaults(handler=_cmd_bridge_a2k)
-
-    depth_help = "connective depth bound; atoms have depth 0"
-
-    p = sub.add_parser("saturate-pair",
-                       help="saturate a consistent pair over a universe")
-    p.add_argument("--left", default="", help="comma-separated formulas")
-    p.add_argument("--right", default="", help="comma-separated formulas")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True, help=depth_help)
-    p.set_defaults(handler=_cmd_saturate_pair)
-
-    p = sub.add_parser("quotient",
-                       help="provable-equivalence quotient of a universe")
-    p.add_argument("--gamma", default="", help="comma-separated premises")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True, help=depth_help)
-    p.set_defaults(handler=_cmd_quotient)
-
-    p = sub.add_parser("universe", help="canonical formula universe")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True, help=depth_help)
-    p.set_defaults(handler=_cmd_universe)
-
-    p = sub.add_parser("harness",
-                       help="cross-check Kripke and algebraic validity")
-    p.add_argument("--formula", action="append", required=True)
-    p.add_argument("--model", action="append", default=[],
-                   help="model JSON file (repeatable)")
-    p.add_argument("--algebra", action="append", default=[],
-                   help="algebra JSON file (repeatable)")
-    p.set_defaults(handler=_cmd_harness)
-
+    todo = [(top.add_subparsers(dest="command", required=True), _COMMANDS,
+             command)]
+    while todo:
+        sub, commands, only = todo.pop()
+        for name, (help_text, target, arguments) in commands.items():
+            if only in (None, name):
+                p = sub.add_parser(name, help=help_text)
+                for flag, options in arguments:
+                    p.add_argument(flag, **options)
+                if isinstance(target, dict):
+                    todo.append((p.add_subparsers(
+                        dest="direction", required=True), target, None))
+                else:
+                    p.set_defaults(handler=target)
     return top
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed by a parser with only the subparser of argv[0], when
+    that names a command: building one subparser costs a process less
+    than building all.  On any error the full parser parses argv again
+    and reports it, so output and exit code are the full parser's."""
+    if argv[:1] and argv[0] in _COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Retry:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -523,7 +528,7 @@ def main(argv=None) -> int:
     if set_digit_limit is not None:
         set_digit_limit(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional, Union
-
-
-@dataclass(frozen=True)
-class Var:
-    """A propositional variable, identified by a nonnegative index."""
-
-    index: int
 
 
 # Structure key -> the one node: (class, id(lhs), id(rhs)), (Variable,
@@ -47,10 +39,13 @@ class _Frozen:
     __slots__ = ()
     __match_args__: tuple = ()
 
+    # imported when raised: dataclasses costs a process more than this module
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __deepcopy__(self, memo=None):
@@ -63,6 +58,62 @@ class _Frozen:
 
     def __repr__(self):
         return _dataclass_text(self)
+
+
+def _methods(cls, source: str, **scope) -> None:
+    """Set on cls, as methods, the functions that the def statements of
+    source define, run in one exec with scope and _set as its globals."""
+    found: dict = {}
+    exec(source, {"__name__": cls.__module__, "_set": object.__setattr__,
+                  **scope}, found)
+    for name, function in found.items():
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, function)
+
+
+def _init_source(names: tuple, defaults) -> str:
+    """An __init__ with a parameter per name, in order, defaulting to
+    _defaults[name] for a name in defaults, that stores each with _set,
+    object.__setattr__, so that no instance __dict__ object is made."""
+    params = "".join(f"{n}=_defaults[{n!r}], " if n in defaults else f"{n}, "
+                     for n in names)
+    return f"def __init__(self, {params}):\n" + "".join(
+        f"    _set(self, {n!r}, {n})\n" for n in names)
+
+
+def _record(cls=None, *, hidden: tuple = ()):
+    """cls as a frozen record, as @dataclass(frozen=True) makes it from
+    the annotated fields and class defaults: __init__, __match_args__,
+    and ==, hash and repr with the dataclass results, less the hidden
+    fields in == and hash, from one exec.  Setting or deleting raises
+    FrozenInstanceError; a copy or pickle is that of a plain object."""
+    def build(cls):
+        names = tuple(cls.__annotations__)
+        keys = [n for n in names if n not in hidden]
+        mine, theirs = ("(" + "".join(f"{obj}.{n}," for n in keys) + ")"
+                        for obj in ("self", "other"))
+        text = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        _methods(cls, _init_source(names, cls.__dict__) + f"""
+def __eq__(self, other):
+    return ({mine} == {theirs} if other.__class__ is self.__class__
+            else NotImplemented)
+def __hash__(self):
+    return hash({mine})
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({text})"
+""", _defaults=cls.__dict__)
+        cls.__match_args__ = names
+        cls.__setattr__ = _Frozen.__setattr__
+        cls.__delattr__ = _Frozen.__delattr__
+        return cls
+    return build if cls is None else build(cls)
+
+
+@_record
+class Var:
+    """A propositional variable, identified by a nonnegative index."""
+
+    index: int
 
 
 def _fields(node) -> list:

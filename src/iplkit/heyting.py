@@ -13,14 +13,13 @@ a filter to a prime filter avoiding a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, count, islice, product
 from operator import and_, getitem, or_
 from typing import Optional
 
 from .formula import (And, Bottom, Formula, Implies, Or, Variable, _ones,
-                      postorder, variable_indices)
+                      _record, postorder, variable_indices)
 
 # formula values held at once, assignments times nodes: this caps the
 # block of assignments evaluated together, so memory stays bounded
@@ -43,7 +42,7 @@ class NoWitnessError(ValueError):
     """Exhaustive witness search failed; signals a failed property check."""
 
 
-@dataclass(frozen=True)
+@_record(hidden=("name",))
 class FiniteHeytingAlgebra:
     size: int
     le: tuple        # size x size booleans
@@ -52,7 +51,7 @@ class FiniteHeytingAlgebra:
     himp: tuple
     bot: int
     top: int
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     def leq(self, a: int, b: int) -> bool:
         return self.le[a][b]
@@ -73,7 +72,7 @@ class FiniteHeytingAlgebra:
         return _masks(self.le)
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     kind: str
     witness: tuple
@@ -458,7 +457,7 @@ class InterpretationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@_record
 class Interpretation:
     algebra: FiniteHeytingAlgebra
     assignment: tuple  # ((var_index, element), ...), sorted by index
@@ -517,7 +516,7 @@ def valid_in_algebra(alg: FiniteHeytingAlgebra, phi: Formula) -> bool:
     return consequence_over_algebras([alg], [], phi).holds
 
 
-@dataclass(frozen=True)
+@_record
 class AlgConsequenceVerdict:
     holds: bool
     algebra_index: Optional[int] = None

@@ -11,13 +11,12 @@ models.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .formula import (And, Bottom, Formula, Or, Variable, _ones,
+from .formula import (And, Bottom, Formula, Or, Variable, _ones, _record,
                       variable_indices)
 
 
@@ -58,7 +57,7 @@ class CountermodelSearchTooLarge(Exception):
     preorders or candidate valuations than MAX_COUNTERMODEL_VALUATIONS."""
 
 
-@dataclass(frozen=True)
+@_record
 class KripkeModel:
     worlds: int
     rel: frozenset
@@ -120,7 +119,7 @@ def make_model(worlds: int, rel: Iterable, valuation: Mapping) -> KripkeModel:
     return KripkeModel(worlds, pairs, tuple(val))
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     kind: str  # "reflexivity" | "transitivity" | "monotonicity"
     witness: tuple
@@ -270,7 +269,7 @@ def forces_all(model: KripkeModel, world: int, gamma) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@_record
 class ConsequenceVerdict:
     holds: bool
     model_index: Optional[int] = None
@@ -514,44 +513,49 @@ def _rel_key(rel: frozenset) -> tuple:
     return tuple(sorted((i, j) for i, j in rel if i != j))
 
 
-def _relabel_rel(rel: frozenset, perm) -> frozenset:
-    return frozenset((perm[i], perm[j]) for i, j in rel)
+def _relabelings(n: int) -> list:
+    """(p, (i, j) -> (p[i], p[j])) for each permutation p, identity first."""
+    return [(p, {(i, j): (p[i], p[j]) for i in range(n)
+                 for j in range(n)}.__getitem__)
+            for p in permutations(range(n))]
 
 
 @lru_cache(maxsize=None)
 def _canonical_preorders(n: int) -> tuple:
     """Preorders on range(n) whose edge list is lexicographically minimal
-    within their relabeling class, sorted by that edge list."""
-    perms = list(permutations(range(n)))
+    within their relabeling class, sorted by that edge list: each class
+    is relabeled once, its members marked seen and the least one kept."""
+    maps = [pairs for _, pairs in _relabelings(n)]
+    labeled = {rel: rel for rel in _preorders(n)}  # keeps their objects
+    seen: set = set()
     out = []
-    for rel in _preorders(n):
-        key = _rel_key(rel)
-        if all(key <= _rel_key(_relabel_rel(rel, p)) for p in perms):
-            out.append(rel)
+    for rel in labeled:
+        if rel not in seen:
+            orbit = {frozenset(map(pairs, rel)) for pairs in maps}
+            seen |= orbit
+            out.append(labeled[min(orbit, key=_rel_key)])
     return tuple(sorted(out, key=_rel_key))
-
-
-def _val_key(valuation: tuple) -> tuple:
-    return tuple(tuple(sorted(ws)) for _, ws in valuation)
 
 
 @lru_cache(maxsize=None)
 def _models(var_indices: tuple, n: int) -> tuple:
     """All valid models on n worlds over the given variables, one per
-    isomorphism class, in deterministic order."""
+    isomorphism class, in deterministic order.  A valuation is a tuple of
+    indices into the up-sets sorted by their sorted worlds, kept when no
+    automorphism but the identity, as a map of the indices (which are in
+    the order of the sorted worlds), makes it smaller."""
     out = []
+    relabelings = _relabelings(n)[1:]
     for rel in _canonical_preorders(n):
-        auts = [p for p in permutations(range(n))
-                if _relabel_rel(rel, p) == rel]
         upsets = sorted(_closed_subsets(rel, n, up=True),
                         key=lambda s: tuple(sorted(s)))
-        for choice in product(upsets, repeat=len(var_indices)):
-            valuation = tuple(zip(var_indices, choice))
-            key = _val_key(valuation)
-            if all(key <= _val_key(tuple(
-                    (v, frozenset(p[w] for w in ws)) for v, ws in valuation))
-                    for p in auts):
-                out.append(KripkeModel(n, rel, valuation))
+        index = {s: i for i, s in enumerate(upsets)}
+        maps = [tuple(index[frozenset(p[w] for w in s)] for s in upsets)
+                for p, pairs in relabelings if rel.issuperset(map(pairs, rel))]
+        for choice in product(range(len(upsets)), repeat=len(var_indices)):
+            if all(choice <= tuple(m[i] for i in choice) for m in maps):
+                out.append(KripkeModel(n, rel, tuple(
+                    zip(var_indices, map(upsets.__getitem__, choice)))))
     return tuple(out)
 
 

@@ -9,11 +9,10 @@ materializing the full (infinite) quotient algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import (And, Formula, Implies, Or, TOP, encode, postorder,
-                      render, variable_indices)
+from .formula import (And, Formula, Implies, Or, TOP, _record, encode,
+                      postorder, render, variable_indices)
 from .kripke import forces, truth_mask
 from .theories import (Fails, FormulaUniverse, Holds, Oracle,
                        OracleInconclusive, Provable, Refuted, Unknown,
@@ -24,7 +23,7 @@ class OutOfUniverse(ValueError):
     """A class combination cannot be resolved inside the universe."""
 
 
-@dataclass(frozen=True)
+@_record
 class QuotientTable:
     gamma: frozenset
     universe: FormulaUniverse

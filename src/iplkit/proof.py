@@ -12,13 +12,13 @@ kinds the module provides a catalog of derived rules (every entry builds
 a term the checker accepts) and the deduction theorem as a proof
 transformation.
 
-Node classes are frozen dataclasses on formula._Frozen, the node
-protocol that formulas use too: a copy of a node is the node itself, a
-pickle holds one post-order program over the distinct subproofs and
-formulas, and the repr is the dataclass text for a proof of any depth.
-Their __init__, == and hash are made here from NODE_KINDS: the __init__
-stores each field through object.__setattr__, and == and hash give the
-dataclass results from walks that visit each distinct subproof once.
+Node classes are dataclasses on formula._Frozen, the node protocol
+that formulas use too: a node is frozen, its copy is itself, a pickle
+holds one post-order program over the distinct subproofs and formulas,
+and the repr is the dataclass text for a proof of any depth.  Their
+__init__ is the record one of formula._init_source, and == and hash,
+made here from NODE_KINDS, give the dataclass results from walks that
+visit each distinct subproof once.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .formula import (_TABLE, _Frozen, And, BOT, Formula, Implies, Or,
-                      parse, postorder, render)
+                      _init_source, _methods, parse, postorder, render)
 
-# Frozen dataclasses whose __init__, == and hash _make_methods adds
-# below; _Frozen gives their copy, pickle and repr.
+# Dataclasses whose __init__, == and hash are set after NODE_KINDS;
+# _Frozen makes them frozen and gives their copy, pickle and repr.
 # Each class has a docstring: without one, dataclass would build one from
 # the signature, which costs import time.
-_node = dataclass(frozen=True, init=False, repr=False, eq=False)
+_node = dataclass(init=False, repr=False, eq=False)
 
 
 @_node
@@ -284,29 +284,11 @@ def _hash(self) -> int:
     return known[id(self)]
 
 
-def _make_methods() -> None:
-    """Give every node class an __init__ with one parameter per field,
-    in field order, that stores each through object.__setattr__ (the
-    classes are frozen), and _eq and _hash as its == and hash.  One exec
-    defines all the __init__s."""
-    source = []
-    for cls in NODE_KINDS:
-        names = cls.__match_args__
-        source.append(f"def {cls.__name__}(self, {', '.join(names)}):")
-        source += [f"    _set(self, {name!r}, {name})" for name in names]
-    scope: dict = {}
-    exec("\n".join(source), {"_set": object.__setattr__, "__name__": __name__},
-         scope)
-    for cls in NODE_KINDS:
-        init = scope[cls.__name__]
-        init.__name__ = "__init__"
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
-        cls.__eq__ = _eq
-        cls.__hash__ = _hash
-
-
-_make_methods()
+# Every node class gets the record __init__ of formula._init_source, one
+# parameter per field in field order, and _eq and _hash as == and hash.
+for _cls in NODE_KINDS:
+    _methods(_cls, _init_source(_cls.__match_args__, ()))
+    _cls.__eq__, _cls.__hash__ = _eq, _hash
 
 _BY_RULE = {kind.rule: cls for cls, kind in NODE_KINDS.items()}
 

@@ -9,12 +9,11 @@ the depth budget is Unknown.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .formula import (And, BOT, Formula, Or, TOP, all_formulas, order_key,
-                      render, variable_indices)
+from .formula import (And, BOT, Formula, Or, TOP, _record, all_formulas,
+                      order_key, render, variable_indices)
 from .kripke import (KripkeModel, first_refutation, forces, forces_all,
                      make_model, validate_model)
 from .proof import ProofTerm, check, premises
@@ -29,7 +28,7 @@ _MAX_SCAN_VARS = 16
 _SCAN_RECORDS = 16
 
 
-@dataclass(frozen=True)
+@_record
 class Budget:
     max_depth: int = DEFAULT_MAX_DEPTH
 
@@ -47,28 +46,28 @@ def budget_from_env(text: Optional[str] = None) -> Budget:
     return Budget(max_depth=int(value))
 
 
-@dataclass(frozen=True)
+@_record
 class Provable:
     witness: ProofTerm
 
 
-@dataclass(frozen=True)
+@_record
 class Refuted:
     model: KripkeModel
     world: int
 
 
-@dataclass(frozen=True)
+@_record
 class Unknown:
     reason: str
 
 
-@dataclass(frozen=True)
+@_record
 class Holds:
     evidence: object = None
 
 
-@dataclass(frozen=True)
+@_record
 class Fails:
     witness: object = None
 
@@ -181,7 +180,7 @@ def _discrete(mask: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class FormulaUniverse:
     """A duplicate-free finite formula list with its position index."""
 
@@ -247,7 +246,7 @@ def canonical_universe(num_vars: int, depth: int) -> FormulaUniverse:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class FormulaPair:
     left: frozenset
     right: frozenset

@@ -1,12 +1,58 @@
 """The per-model forcing loops that kripke's model-family record
 replaced, kept as the reference for differential tests: each model is
 forced on its own, with a fresh memo, in the order given, and the first
-model with a refuting world wins at its lowest such world."""
+model with a refuting world wins at its lowest such world.  Also the
+model enumeration that relabels every labeled preorder under every
+permutation and compares each valuation's sorted world sets under every
+automorphism."""
+
+from itertools import permutations, product
 
 from iplkit.formula import variable_indices
 from iplkit.kripke import (MAX_COUNTERMODEL_VALUATIONS, _LABELED_PREORDERS,
                            ConsequenceVerdict, CountermodelSearchTooLarge,
-                           _candidate_count, _models, truth_mask)
+                           KripkeModel, _candidate_count, _closed_subsets,
+                           _models, _preorders, _rel_key, truth_mask)
+
+
+def _relabel_rel(rel: frozenset, perm) -> frozenset:
+    return frozenset((perm[i], perm[j]) for i, j in rel)
+
+
+def canonical_preorders(n: int) -> tuple:
+    """Preorders on range(n) whose edge list is lexicographically minimal
+    within their relabeling class, sorted by that edge list."""
+    perms = list(permutations(range(n)))
+    out = []
+    for rel in _preorders(n):
+        key = _rel_key(rel)
+        if all(key <= _rel_key(_relabel_rel(rel, p)) for p in perms):
+            out.append(rel)
+    return tuple(sorted(out, key=_rel_key))
+
+
+def _val_key(valuation: tuple) -> tuple:
+    return tuple(tuple(sorted(ws)) for _, ws in valuation)
+
+
+def models(var_indices: tuple, n: int) -> tuple:
+    """All valid models on n worlds over the given variables, one per
+    isomorphism class: a valuation is kept when its sorted world sets
+    are least under every automorphism of the canonical preorder."""
+    out = []
+    for rel in canonical_preorders(n):
+        auts = [p for p in permutations(range(n))
+                if _relabel_rel(rel, p) == rel]
+        upsets = sorted(_closed_subsets(rel, n, up=True),
+                        key=lambda s: tuple(sorted(s)))
+        for choice in product(upsets, repeat=len(var_indices)):
+            valuation = tuple(zip(var_indices, choice))
+            key = _val_key(valuation)
+            if all(key <= _val_key(tuple(
+                    (v, frozenset(p[w] for w in ws)) for v, ws in valuation))
+                    for p in auts):
+                out.append(KripkeModel(n, rel, valuation))
+    return tuple(out)
 
 
 def first_refutation(gamma, phi, atoms, full, down):

@@ -9,7 +9,7 @@ import pytest
 
 import iplkit
 from iplkit.cli import (MAX_HARNESS_ASSIGNMENTS, MAX_HARNESS_CANDIDATES,
-                        main)
+                        build_parser, main)
 from iplkit.formula import Implies, Or, neg, render, var
 from iplkit.catalog import standard_algebras
 from iplkit.heyting import algebra_to_json, chain
@@ -694,3 +694,74 @@ class TestTracedBindings:
         code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert code in (0, 1), err
         assert calls
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace or exit code, stdout, stderr) of one parse of argv."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# one valid call per command; the files need not exist to parse
+VALID_CALLS = [
+    ["parse", "p0"],
+    ["encode", "p0 -> p1"],
+    ["decode", "5"],
+    ["check-proof", "proof.json", "--gamma", "p0"],
+    ["eval", "model.json", "0", "p0"],
+    ["valid", "model.json", "p0"],
+    ["countermodel", "p0", "--gamma", "p1", "--max-worlds", "2"],
+    ["alg-eval", "alg.json", "p0", "--assign", "p0=1"],
+    ["alg-valid", "alg.json", "p0"],
+    ["filters", "alg.json"],
+    ["prime-filters", "alg.json"],
+    ["super-prime", "alg.json", "--filter", "2", "--avoid", "1"],
+    ["bridge", "k2a", "model.json"],
+    ["bridge", "a2k", "alg.json", "--assign", "p0=1"],
+    ["saturate-pair", "--left", "p0", "--right", "p1", "--vars", "1",
+     "--depth", "1"],
+    ["quotient", "--gamma", "p0", "--vars", "1", "--depth", "1"],
+    ["universe", "--vars", "1", "--depth", "1"],
+    ["harness", "--formula", "p0", "--model", "model.json",
+     "--algebra", "alg.json"],
+]
+
+
+class TestParserFastPath:
+    """main parses with a parser built for argv[0] alone and lets the
+    full parser parse again on any error: what either prints, and how it
+    exits, must be what the full parser alone gives."""
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "p0", "extra"], ["parse"], ["parse", "-h"], ["-h"], [],
+        ["no-such-command", "p0"], ["bridge"], ["bridge", "k2a", "-h"],
+        ["bridge", "k2b", "model.json"], ["decode", "x"],
+        ["countermodel", "p0", "--max-worlds", "x"], ["harness"],
+        ["harness", "--model", "model.json"], ["super-prime", "alg.json"],
+        ["countermodel", "p0", "--no-such-option"], ["--version"],
+        *VALID_CALLS,
+    ], ids=" ".join)
+    def test_same_as_the_full_parser(self, capsys, argv):
+        fast = parse_outcome(capsys, iplkit.cli._parse_args, argv)
+        full = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert fast == full
+        if argv == ["parse", "p0", "extra"]:
+            # the usage line of the full parser names every command
+            assert "{parse,encode,decode," in fast[2]
+
+    @pytest.mark.parametrize("argv", VALID_CALLS, ids=" ".join)
+    def test_a_valid_call_needs_one_subparser(self, argv):
+        one = build_parser(argv[0])
+        commands = one._subparsers._group_actions[0].choices
+        assert list(commands) == [argv[0]]
+        assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_the_table_lists_every_command_in_help_order(self, capsys):
+        code, out, _ = parse_outcome(capsys, build_parser().parse_args,
+                                     ["-h"])
+        assert code == 0
+        assert "{" + ",".join(iplkit.cli._COMMANDS) + "}" in out

@@ -11,15 +11,17 @@ from iplkit.bridge import truth_set
 from iplkit.formula import (And, BOT, Bottom, Implies, Or, TOP, Variable,
                             all_formulas, neg, parse, var)
 from iplkit.kripke import (MAX_CLOSED_SETS, EvalError, KripkeModel,
-                           Violation, _closed_subsets, _closure,
-                           consequence_over_models, enumerate_models,
-                           find_countermodel, forces, forces_all,
-                           forcing_is_monotone, make_model, model_from_json,
-                           model_to_json, truth_mask, valid_in_model,
-                           validate_model)
+                           Violation, _canonical_preorders, _closed_subsets,
+                           _closure, _models, consequence_over_models,
+                           enumerate_models, find_countermodel, forces,
+                           forces_all, forcing_is_monotone, make_model,
+                           model_from_json, model_to_json, truth_mask,
+                           valid_in_model, validate_model)
 from iplkit.proof import (ContractionConj, ContractionDisj, Exfalso,
                           PermutationConj, PermutationDisj, WeakeningConj,
                           WeakeningDisj, check)
+
+import reference_kripke as reference
 
 p0, p1 = var(0), var(1)
 LEM = parse("p0 | ~p0")
@@ -216,6 +218,27 @@ class TestEnumeration:
     def test_requires_one_world(self):
         with pytest.raises(ValueError):
             list(enumerate_models(1, 0))
+
+
+class TestEnumerationReference:
+    """The enumeration on orbits and up-set indices gives the tuples of
+    the relabel-everything loops in tests/reference_kripke.py, in the
+    same order."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_canonical_preorders(self, n):
+        assert _canonical_preorders(n) == reference.canonical_preorders(n)
+
+    @pytest.mark.parametrize("num_vars", range(4))
+    @pytest.mark.parametrize("num_worlds", range(1, 5))
+    def test_models(self, num_vars, num_worlds):
+        indices = tuple(range(num_vars))
+        assert _models(indices, num_worlds) == \
+            reference.models(indices, num_worlds)
+
+    def test_models_over_scattered_indices(self):
+        for n in (2, 3):
+            assert _models((1, 4), n) == reference.models((1, 4), n)
 
 
 class TestCountermodels:

@@ -83,17 +83,19 @@ def _init_source(names: tuple, defaults) -> str:
 
 def _record(cls=None, *, hidden: tuple = ()):
     """cls as a frozen record, as @dataclass(frozen=True) makes it from
-    the annotated fields and class defaults: __init__, __match_args__,
-    and ==, hash and repr with the dataclass results, less the hidden
-    fields in == and hash, from one exec.  Setting or deleting raises
-    FrozenInstanceError; a copy or pickle is that of a plain object."""
+    the annotated fields and class defaults: __init__, which calls the
+    class's __post_init__ last if it has one, __match_args__, and ==, hash
+    and repr with the dataclass results, less the hidden fields in == and
+    hash, from one exec.  Setting or deleting raises FrozenInstanceError;
+    a copy or pickle is that of a plain object."""
     def build(cls):
         names = tuple(cls.__annotations__)
         keys = [n for n in names if n not in hidden]
         mine, theirs = ("(" + "".join(f"{obj}.{n}," for n in keys) + ")"
                         for obj in ("self", "other"))
         text = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-        _methods(cls, _init_source(names, cls.__dict__) + f"""
+        post = "    self.__post_init__()\n" * ("__post_init__" in cls.__dict__)
+        _methods(cls, _init_source(names, cls.__dict__) + post + f"""
 def __eq__(self, other):
     return ({mine} == {theirs} if other.__class__ is self.__class__
             else NotImplemented)
@@ -195,6 +197,8 @@ class Variable(_Node):
         key = (cls, var.index)
         node = _TABLE.get(key)
         if node is None:
+            if var.index < 0:
+                raise ValueError(f"variable index {var.index} is negative")
             # a thread that loses the race to intern leaves an unused rank
             rank = next(_RANKS)
             _INDEX_OF_RANK[rank] = var.index

@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .formula import (And, Bottom, Formula, Or, Variable, _ones, _record,
@@ -59,9 +58,28 @@ class CountermodelSearchTooLarge(Exception):
 
 @_record
 class KripkeModel:
+    """A model on the worlds range(worlds).  Construction raises
+    ValueError unless there is a world, rel and valuation name only those
+    worlds, and the variable indices are nonnegative, sorted and distinct;
+    reflexivity, transitivity and monotonicity are validate_model's."""
+
     worlds: int
     rel: frozenset
     valuation: tuple  # ((var_index, frozenset of worlds), ...), sorted
+
+    def __post_init__(self):
+        if self.worlds < 1:
+            raise ValueError("a model needs at least one world")
+        _frame(self.rel, self.worlds)  # checks the pairs, once per frame
+        inside, last = _world_set(self.worlds), -1
+        for v, ws in self.valuation:
+            if v <= last:
+                raise ValueError(f"valuation variable index {v} is negative, "
+                                 "repeated or out of order")
+            if not inside.issuperset(ws):
+                raise ValueError(
+                    f"valuation of p{v} mentions an unknown world")
+            last = v
 
     @cached_property
     def masks(self) -> tuple:
@@ -69,7 +87,7 @@ class KripkeModel:
         and the set of all worlds as bitmasks (bit w for world w), and
         down(s), the worlds that see some world of s."""
         return ({v: sum(1 << w for w in ws) for v, ws in self.valuation},
-                (1 << self.worlds) - 1, _frame(self.rel, self.worlds)[3])
+                (1 << self.worlds) - 1, _frame(self.rel, self.worlds)[1])
 
     @cached_property
     def memo(self) -> dict:
@@ -93,6 +111,11 @@ class KripkeModel:
         raise EvalError(f"variable p{index} is not declared in this model")
 
 
+@lru_cache(maxsize=64)
+def _world_set(worlds: int) -> frozenset:
+    return frozenset(range(worlds))
+
+
 def _down(pred: tuple, mask: int) -> int:
     out = 0
     while mask:
@@ -103,20 +126,12 @@ def _down(pred: tuple, mask: int) -> int:
 
 
 def make_model(worlds: int, rel: Iterable, valuation: Mapping) -> KripkeModel:
-    """Normalize raw pieces into a KripkeModel (no closure, no validation)."""
-    if worlds < 1:
-        raise ValueError("a model needs at least one world")
-    pairs = frozenset((int(i), int(j)) for i, j in rel)
-    for i, j in pairs:
-        if not (0 <= i < worlds and 0 <= j < worlds):
-            raise ValueError(f"relation pair ({i}, {j}) out of range")
-    val = []
-    for v in sorted(valuation):
-        ws = frozenset(int(w) for w in valuation[v])
-        if any(not 0 <= w < worlds for w in ws):
-            raise ValueError(f"valuation of p{v} mentions an unknown world")
-        val.append((int(v), ws))
-    return KripkeModel(worlds, pairs, tuple(val))
+    """A KripkeModel of raw pieces, made ints in frozensets and sorted by
+    variable; no closure, and no validation past KripkeModel's own."""
+    return KripkeModel(
+        worlds, frozenset((int(i), int(j)) for i, j in rel),
+        tuple((int(v), frozenset(map(int, valuation[v])))
+              for v in sorted(valuation)))
 
 
 @_record
@@ -130,45 +145,37 @@ def validate_model(model: KripkeModel) -> list:
     checked on per-world successor bitmasks.  Violations come in the
     order of loops over range(worlds), sorted(rel) and then the third
     world."""
-    labels, bit, succ, _, out = _frame(model.rel, model.worlds)
+    succ, _, out = _frame(model.rel, model.worlds)
     out = list(out)
-    for v, ws in model.valuation:
-        truth = 0
-        for w in ws:
-            if w in bit:
-                truth |= 1 << bit[w]
-        for ka in _ones(truth):
-            bad = succ[ka] & ~truth
+    for v, truth in model.masks[0].items():
+        for a in _ones(truth):
+            bad = succ[a] & ~truth
             if bad:
-                out += [Violation("monotonicity", (v, labels[ka], labels[kb]))
-                        for kb in _ones(bad)]
+                out += [Violation("monotonicity", (v, a, b))
+                        for b in _ones(bad)]
     return out
 
 
 @lru_cache(maxsize=4096)
 def _frame(rel: frozenset, worlds: int) -> tuple:
-    """(labels, bit, succ, down, violations) of a frame, shared by its
-    models.  labels lists the worlds that the frame or the relation names,
-    sorted, and bit maps each to its position k; succ[k] has bit j set
-    when (labels[k], labels[j]) is in rel, and down(s) the positions that
-    see one in s (world w is position w when rel stays in range(worlds)).
-    violations lists the reflexivity and transitivity violations."""
-    labels = sorted({*range(worlds), *(w for pair in rel for w in pair)})
-    bit = {w: k for k, w in enumerate(labels)}
-    succ = [0] * len(labels)
-    pred = [0] * len(labels)
+    """(succ, down, violations) of a frame, shared by its models: succ[a]
+    has bit b set when (a, b) is in rel, down(s) is the set of worlds that
+    see one in s, and violations lists the reflexivity and transitivity
+    violations.  Raises ValueError for a pair outside range(worlds)."""
+    succ = [0] * worlds
+    pred = [0] * worlds
     for a, b in rel:
-        succ[bit[a]] |= 1 << bit[b]
-        pred[bit[b]] |= 1 << bit[a]
+        if not (0 <= a < worlds and 0 <= b < worlds):
+            raise ValueError(f"relation pair ({a}, {b}) out of range")
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
     out = [Violation("reflexivity", (w,)) for w in range(worlds)
-           if not succ[bit[w]] >> bit[w] & 1]
-    inside = sum(1 << bit[w] for w in range(worlds))
-    for ka, row in enumerate(succ):
-        for kb in _ones(row):
-            out += [Violation("transitivity",
-                              (labels[ka], labels[kb], labels[kc]))
-                    for kc in _ones(succ[kb] & inside & ~row)]
-    return labels, bit, succ, partial(_down, tuple(pred)), tuple(out)
+           if not succ[w] >> w & 1]
+    for a, row in enumerate(succ):
+        for b in _ones(row):
+            out += [Violation("transitivity", (a, b, c))
+                    for c in _ones(succ[b] & ~row)]
+    return succ, partial(_down, tuple(pred)), tuple(out)
 
 
 def truth_mask(phi: Formula, atoms: Mapping, full: int, down,
@@ -302,9 +309,9 @@ class _ModelFamily:
     few of them, and a formula that holds in every model costs about two
     walks over the whole family.  Each block keeps one forcing memo.  The
     blocks cover the longest prefix of the models that declare each
-    variable of var_indices and name no world outside their own range;
-    consequence forces the models after it one at a time, so an error is
-    raised where a model-by-model loop raises it."""
+    variable of var_indices; consequence forces the models after it one
+    at a time, so an EvalError is raised where a model-by-model loop
+    raises it."""
 
     __slots__ = ("models", "var_indices", "blocks", "covered")
 
@@ -348,14 +355,11 @@ class _ModelFamily:
         return ConsequenceVerdict(True)
 
 
-_first, _second = itemgetter(0), itemgetter(1)
-
-
 def _layout(models: list, var_indices: tuple) -> tuple:
     """(starts, atoms, full, down) of the longest prefix of the models
-    that declare each variable of var_indices and name no world outside
-    their own range, laid out as one frame: world w of the t-th model is
-    bit starts[t] + w.  atoms holds the variables of var_indices.
+    that declare each variable of var_indices, laid out as one frame:
+    world w of the t-th model is bit starts[t] + w.  atoms holds the
+    variables of var_indices.
 
     down works frame by frame, (worlds, rel): the models that share their
     frame with another move the set's bits along each pair (a, b) of it
@@ -364,31 +368,15 @@ def _layout(models: list, var_indices: tuple) -> tuple:
     on its slice.  Masks are filled through bytearrays, linear in their
     bits."""
     wanted = set(var_indices)
-    declares: dict = {}  # the variables of a valuation -> all wanted
-    # (worlds, rel) -> (the set of its worlds, or None when rel names
-    # another world, and the starts of the models on the frame)
-    frames: dict = {}
+    frames: dict = {}  # (worlds, rel) -> the starts of its models
     starts: list = []
     end = 0
     for model in models:
-        n, valuation = model.worlds, model.valuation
-        names = tuple(map(_first, valuation))
-        declared = declares.get(names)
-        if declared is None:
-            declared = declares[names] = \
-                len(set(names)) == len(names) and wanted.issubset(names)
-        frame = frames.get((n, model.rel))
-        if frame is None:
-            frame = frames[n, model.rel] = (
-                frozenset(range(n)) if n >= 1 and
-                len(_frame(model.rel, n)[0]) == n else None, [])
-        inside, members = frame
-        if not declared or inside is None or not all(
-                map(inside.issuperset, map(_second, valuation))):
+        if not wanted.issubset(dict(model.valuation)):
             break
-        members.append(end)
+        frames.setdefault((model.worlds, model.rel), []).append(end)
         starts.append(end)
-        end += n
+        end += model.worlds
     size = (end + 7) >> 3
     rows = {v: bytearray(size) for v in var_indices}
     for model, start in zip(models, starts):
@@ -400,11 +388,9 @@ def _layout(models: list, var_indices: tuple) -> tuple:
                     row[w >> 3] |= 1 << (w & 7)
     cols: dict = {}      # b - a -> the bits b of the models with (a, b)
     alone = []
-    for (n, rel), (_, members) in frames.items():
-        if not members:
-            continue
+    for (n, rel), members in frames.items():
         if len(members) == 1:
-            alone.append((members[0], (1 << n) - 1, _frame(rel, n)[3]))
+            alone.append((members[0], (1 << n) - 1, _frame(rel, n)[1]))
             continue
         for a, b in rel:
             col = cols.get(b - a)
@@ -489,12 +475,11 @@ def _closed_subsets(rel: frozenset, n: int, up: bool) -> list:
 def _closed_masks(rel: frozenset, n: int, up: bool) -> list:
     """The up-closed (or down-closed) subsets of range(n) as sorted masks:
     the unions of the worlds' principal up-sets (or down-sets) under the
-    reflexive-transitive closure of rel.  Raises ValueError for a pair
-    outside range(n), and once the family passes MAX_CLOSED_SETS."""
+    reflexive-transitive closure of rel, a relation on range(n) as a
+    model's or a preorder's is.  Raises ValueError once the family passes
+    MAX_CLOSED_SETS."""
     succ = [1 << w for w in range(n)]
     for a, b in rel:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"relation pair ({a}, {b}) out of range")
         if not up:
             a, b = b, a
         succ[a] |= 1 << b
@@ -553,7 +538,10 @@ def _models(var_indices: tuple, n: int) -> tuple:
         maps = [tuple(index[frozenset(p[w] for w in s)] for s in upsets)
                 for p, pairs in relabelings if rel.issuperset(map(pairs, rel))]
         for choice in product(range(len(upsets)), repeat=len(var_indices)):
-            if all(choice <= tuple(m[i] for i in choice) for m in maps):
+            for m in maps:
+                if tuple(map(m.__getitem__, choice)) < choice:
+                    break
+            else:
                 out.append(KripkeModel(n, rel, tuple(
                     zip(var_indices, map(upsets.__getitem__, choice)))))
     return tuple(out)
@@ -670,9 +658,9 @@ def model_from_json(obj) -> KripkeModel:
         raise ValueError("model JSON must be an object")
     worlds, num_vars = obj.get("worlds"), obj.get("vars", 0)
     # json.load gives bool for true and false, which int() would take
-    if type(worlds) is not int or type(num_vars) is not int:
+    if type(worlds) is not int or type(num_vars) is not int or num_vars < 0:
         raise ValueError("malformed model JSON: worlds and vars must be "
-                         "integers")
+                         "integers, and vars not negative")
     if worlds > MAX_JSON_WORLDS or num_vars > MAX_JSON_VARS:
         raise ValueError(f"model JSON too large: at most {MAX_JSON_WORLDS} "
                          f"worlds and {MAX_JSON_VARS} vars")

@@ -10,7 +10,7 @@ import pytest
 import iplkit
 from iplkit.cli import (MAX_HARNESS_ASSIGNMENTS, MAX_HARNESS_CANDIDATES,
                         build_parser, main)
-from iplkit.formula import Implies, Or, neg, render, var
+from iplkit.formula import And, Implies, Or, neg, render, var
 from iplkit.catalog import standard_algebras
 from iplkit.heyting import algebra_to_json, chain
 from iplkit.kripke import _candidate_count, model_to_json, make_model
@@ -146,6 +146,8 @@ class TestMalformedInput:
         # a lone meet table that is not the order's meet
         ("alg-valid", {"size": 2, "le": [[True, True], [False, True]],
                        "meet": [[1, 1], [1, 1]]}, ["p0"]),
+        # a negative variable count, which once loaded with no variables
+        ("eval", {"worlds": 1, "vars": -3}, ["0", "p0"]),
     ])
     def test_exit_2(self, capsys, tmp_path, command, doc, rest):
         path = tmp_path / "input.json"
@@ -175,6 +177,43 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == (f"bad algebra in {path}: operation table entry out "
                        "of range\n")
+
+
+def modus_ponens_chain_json(n: int) -> str:
+    """The proof JSON of p_n from p0 and p_i -> p_(i+1) for i < n, n
+    modus ponens steps deep, written as text: json.dumps recurses."""
+    def premise(text):
+        return ('{"rule": "premise", "formulas": ["' + text +
+                '"], "subproofs": []}')
+    opens = ['{"rule": "modus_ponens", "formulas": [], "subproofs": ['] * n
+    closes = [f", {premise(f'p{i} -> p{i + 1}')}]}}" for i in range(n)]
+    return "".join(opens) + premise("p0") + "".join(closes)
+
+
+class TestDeepProofs:
+    """A provable input whose proof is deep is answered with exit 0.  The
+    proof JSON is a tree, as deep as the proof, and json recurses on it;
+    these pass once proofs are written as a table of nodes."""
+
+    @pytest.mark.xfail(strict=True, reason="json.dumps recurses on the "
+                       "proof tree and the command exits 2")
+    def test_countermodel_prints_a_deep_proof(self, capsys):
+        body = var(0)
+        for i in range(256):
+            body = And(body, Implies(var(i), var(i + 1)))
+        code, out, _ = run_cli(capsys, "countermodel",
+                               render(Implies(body, var(256))))
+        assert code == 0 and json.loads(out)["proof"]
+
+    @pytest.mark.xfail(strict=True, reason="json.load recurses on the "
+                       "proof tree and the command exits 2")
+    def test_check_proof_reads_a_deep_proof(self, capsys, tmp_path):
+        path = tmp_path / "proof.json"
+        path.write_text(modus_ponens_chain_json(3000))
+        gamma = ",".join(["p0"] + [f"p{i} -> p{i + 1}" for i in range(3000)])
+        code, out, _ = run_cli(capsys, "check-proof", str(path),
+                               "--gamma", gamma)
+        assert code == 0 and json.loads(out)["conclusion"] == "p3000"
 
 
 class TestModelCommands:

@@ -231,6 +231,15 @@ class TestInterning:
         assert parse("(p0 -> p1) & ~p2") is parse("(p0->p1)&~p2")
         assert Bottom() is BOT and var(5) is Variable(Var(5))
 
+    def test_a_negative_index_makes_no_variable(self):
+        # var(-1) would render as p-1, which parse rejects, and encode to
+        # 0, the code of bot
+        for index in (-1, -2):
+            with pytest.raises(ValueError, match=f"^variable index {index} "
+                               "is negative$"):
+                var(index)
+            assert (Variable, index) not in formula._TABLE
+
     def test_hash_is_the_dataclass_hash_of_the_fields(self):
         assert hash(BOT) == hash(())
         assert hash(var(7)) == hash((Var(7),))

@@ -51,6 +51,57 @@ class TestValidate:
         assert validate_model(m) == [Violation("monotonicity", (0, 0, 1))]
 
 
+EMPTY = frozenset()
+PAIR = r"^relation pair \(-?\d, -?\d\) out of range$"
+WORLD = r"^valuation of p0 mentions an unknown world$"
+INDEX = (r"^valuation variable index -?\d+ is negative, repeated or out "
+         r"of order$")
+
+# The shapes a KripkeModel refuses, as its fields and as the pieces of
+# make_model, which sorts the variables before it makes them ints.
+MALFORMED = [
+    (0, [], (), {}, r"^a model needs at least one world$"),
+    (2, [(0, 1), (0, 2)], (), {}, PAIR),
+    (2, [(0, 1), (2, 0)], (), {}, PAIR),
+    (2, [(0, 1), (-1, 0)], (), {}, PAIR),
+    (2, [(0, 1), (0, -1)], (), {}, PAIR),
+    (2, [], ((0, frozenset({2})),), {0: [2]}, WORLD),
+    (2, [], ((0, frozenset({-1})),), {0: [-1]}, WORLD),
+    # a repeated, an unsorted and a negative variable
+    (1, [], ((0, EMPTY), (0, EMPTY)), {0: [], 0.5: []}, INDEX),
+    (1, [], ((1, EMPTY), (0, EMPTY)), {"10": [], "9": []}, INDEX),
+    (1, [], ((-1, EMPTY),), {-1: []}, INDEX),
+]
+
+
+class TestWellFormed:
+    @pytest.mark.parametrize("worlds,rel,valuation,pieces,message",
+                             MALFORMED)
+    def test_malformed_models_raise(self, worlds, rel, valuation, pieces,
+                                    message):
+        with pytest.raises(ValueError, match=message):
+            KripkeModel(worlds, frozenset(rel), valuation)
+        with pytest.raises(ValueError, match=message):
+            make_model(worlds, rel, pieces)
+
+    def test_a_stray_world_no_longer_reaches_forcing(self):
+        # this model once passed validate_model, and forcing ~p0 in it
+        # raised IndexError
+        with pytest.raises(ValueError, match="^valuation of p0 mentions an "
+                           "unknown world$"):
+            KripkeModel(2, frozenset({(0, 0), (1, 1)}),
+                        ((0, frozenset({1, 7})),))
+
+    def test_copies_and_pickles_are_built_again(self):
+        m = make_model(3, {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)},
+                       {0: [1], 2: [1, 2]})
+        for other in (copy.copy(m), copy.deepcopy(m),
+                      pickle.loads(pickle.dumps(m))):
+            assert other == m and other is not m
+            assert [forces(other, w, LEM) for w in range(3)] == \
+                [False, True, True]
+
+
 class TestForces:
     def test_lem_fails_at_root(self):
         assert forces(chain2(), 0, LEM) is False
@@ -455,12 +506,6 @@ class TestClosedSubsets:
                 assert _closed_subsets(rel, n, up) == \
                     reference_closed_subsets(rel, n, up), (rel, n, up)
 
-    def test_pairs_out_of_range_raise(self):
-        for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match=r"^relation pair "
-                               r"\(-?\d, -?\d\) out of range$"):
-                _closed_subsets(frozenset({(0, 1), pair}), 2, up=True)
-
     def test_long_chain_without_a_scan(self):
         rel = frozenset(_closure([(w, w + 1) for w in range(99)], 100))
         start = time.perf_counter()
@@ -511,9 +556,11 @@ class TestValidateBitmasks:
             if rng.random() < 0.5:
                 rel = _closure(list(rel), worlds)
             if rng.random() < 0.1:
-                # worlds out of range, as in a directly built model
-                rel.add((rng.choice((-1, worlds)), rng.randrange(worlds)))
-                rel.add((rng.randrange(worlds), rng.choice((-2, worlds + 1))))
+                # a world out of range: no model is built
+                stray = {(rng.choice((-1, worlds)), rng.randrange(worlds)),
+                         (rng.randrange(worlds), rng.choice((-2, worlds + 1)))}
+                with pytest.raises(ValueError, match="out of range$"):
+                    KripkeModel(worlds, frozenset(rel | stray), ())
             valuation = []
             for v in range(rng.randint(0, 3)):
                 ws = {w for w in range(worlds) if rng.random() < 0.4}
@@ -521,7 +568,9 @@ class TestValidateBitmasks:
                     # close up along the relation, so it may be monotone
                     ws |= {b for a, b in rel if a in ws}
                 if rng.random() < 0.1:
-                    ws.add(worlds + rng.randint(0, 2))
+                    with pytest.raises(ValueError, match="unknown world$"):
+                        KripkeModel(worlds, frozenset(rel), ((v, frozenset(
+                            ws | {worlds + rng.randint(0, 2)})),))
                 valuation.append((v, frozenset(ws)))
             model = KripkeModel(worlds, frozenset(rel), tuple(valuation))
             want = reference_validate(model)

@@ -16,7 +16,7 @@ import pytest
 
 from iplkit.formula import _Frozen, _record, var
 from iplkit.heyting import FiniteHeytingAlgebra, chain
-from iplkit.kripke import forces, make_model
+from iplkit.kripke import KripkeModel, forces, make_model
 from iplkit.proof import NODE_KINDS
 
 MODULES = ["formula", "proof", "prover", "kripke", "heyting", "theories",
@@ -55,9 +55,24 @@ def twin(cls):
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
+# A record that checks its fields at construction gets well-formed ones:
+# a value per field, and another for each that fits with the rest.
+WELL_FORMED = {KripkeModel: ((2, frozenset({(0, 0)}), ((0, frozenset({1})),)),
+                             (3, frozenset({(0, 1)}), ((1, frozenset()),)))}
+
+
 def values(cls):
     """Distinct hashable field values, one per field."""
+    if cls in WELL_FORMED:
+        return list(WELL_FORMED[cls][0])
     return [(name, i) for i, name in enumerate(cls.__annotations__)]
+
+
+def changed(cls, i):
+    """values(cls) with the value of field i changed."""
+    out = values(cls)
+    out[i] = WELL_FORMED[cls][1][i] if cls in WELL_FORMED else ("changed",)
+    return out
 
 
 @pytest.fixture(params=RECORD_CLASSES,
@@ -76,10 +91,9 @@ class TestAgainstTheDataclassTwin:
         assert repr(first) == repr(model(*values(record)))
         assert first.__eq__(object()) is NotImplemented
         for i, name in enumerate(record.__annotations__):
-            changed = values(record)
-            changed[i] = ("changed",)
-            ours = record(*changed) == first
-            assert ours == (model(*changed) == model(*values(record))), name
+            other = changed(record, i)
+            ours = record(*other) == first
+            assert ours == (model(*other) == model(*values(record))), name
             assert ours == (name in HIDDEN.get(record, ())), name
 
     def test_keywords_and_defaults(self, record):
@@ -142,6 +156,26 @@ class TestCachedProperty:
         assert copy.deepcopy(model).memo == {}
         algebra = chain(3)
         assert algebra.filters is algebra.filters
+
+
+class TestPostInit:
+    def test_runs_after_the_fields_are_set_as_in_a_dataclass(self):
+        seen = []
+
+        @_record
+        class Positive:
+            n: int
+            label: str = "x"
+
+            def __post_init__(self):
+                seen.append((self.n, self.label))
+                if self.n < 1:
+                    raise ValueError("not positive")
+
+        assert Positive(2).n == 2 and Positive(3, "y").label == "y"
+        with pytest.raises(ValueError, match="^not positive$"):
+            Positive(0)
+        assert seen == [(2, "x"), (3, "y"), (0, "x")]
 
 
 class TestHiddenName:

@@ -15,9 +15,9 @@ from typing import Optional
 from .formula import (Formula, _ones, _record, render, variable_indices,
                       variables)
 from .heyting import (FiniteHeytingAlgebra, Interpretation,
-                      consequence_over_algebras, interpret, make_algebra,
-                      make_interpretation, prime_filters, true_in_algebra,
-                      validate_algebra)
+                      _himp_rows, consequence_over_algebras,
+                      interpret, make_algebra, make_interpretation,
+                      prime_filters, true_in_algebra, validate_algebra)
 from .kripke import (KripkeModel, _closed_masks, _ModelFamily, make_model,
                      truth_mask, valid_in_model, validate_model)
 
@@ -53,19 +53,11 @@ def closed_set_algebra(model: KripkeModel, name: str = "") -> ClosedSetAlgebra:
     sets = tuple(map(frozenset, map(_ones, masks)))
     index = {m: i for i, m in enumerate(masks)}
     _, full, down = model.masks
-    size = len(sets)
     le = [[a & ~b == 0 for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
     join = [[index[a | b] for b in masks] for a in masks]
-    # himp(A, B) depends on A minus B alone: each distinct difference d is
-    # walked down once, from d minus its lowest world when that came first
-    imp, downs = {}, {0: 0}
-    for d in sorted({a & ~b for a in masks for b in masks}, key=int.bit_count):
-        rest = d & (d - 1)
-        downs[d] = downs[rest] | down(d ^ rest) if rest in downs else down(d)
-        imp[d] = index[full & ~downs[d]]
-    himp = [[imp[a & ~b] for b in masks] for a in masks]
-    alg = make_algebra(size, le, meet, join, himp, index[0], index[full],
+    himp = _himp_rows(masks, down, index, full)
+    alg = make_algebra(len(sets), le, meet, join, himp, index[0], index[full],
                        name or f"Up({model.worlds}w)")
     bad = validate_algebra(alg)
     if bad:

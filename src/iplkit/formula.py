@@ -296,6 +296,16 @@ def _ones(mask: int):
         mask ^= low
 
 
+def _union(table, mask: int) -> int:
+    """The union of table[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def variable_indices(formulas) -> list:
     """Sorted indices of the variables occurring in any of the formulas,
     read from the nodes' variable masks without a walk."""

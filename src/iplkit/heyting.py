@@ -2,8 +2,8 @@
 
 Algebras are dense tables: an order relation plus meet, join and
 relative pseudocomplement (himp) operation tables over elements
-0..size-1.  Completion, validation and the filter machinery run on
-bitmasks of the elements below and above each element, and one
+0..size-1.  Completion looks each entry up by its mask of the elements
+below or above, validation and the filters run on those masks, and one
 evaluator computes a formula under a block of assignments at a time.
 The filter machinery covers generated filters (computed two ways and
 cross-checked), prime filter enumeration in one pass over the pairs of
@@ -13,13 +13,13 @@ a filter to a prime filter avoiding a point.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress, count, islice, product
 from operator import and_, getitem, or_
 from typing import Optional
 
 from .formula import (And, Bottom, Formula, Implies, Or, Variable, _ones,
-                      _record, postorder, variable_indices)
+                      _record, _union, postorder, variable_indices)
 
 # formula values held at once, assignments times nodes: this caps the
 # block of assignments evaluated together, so memory stays bounded
@@ -87,14 +87,18 @@ def _masks(le) -> tuple:
     return down, up
 
 
-def _residuals(cols, meet, b: int) -> list:
-    """For each c, the mask of the a with meet(a, b) <= c, where cols[c]
-    is column c of the order table.  The masks of by_meet are disjoint,
-    so their sum is their union."""
-    by_meet = [0] * len(cols)
-    for a in range(len(cols)):
-        by_meet[meet[a][b]] |= 1 << a
-    return [sum(compress(by_meet, col)) for col in cols]
+def _himp_rows(masks, close, index, full: int) -> list:
+    """Rows of index.get(full & ~close(masks[b] & ~masks[c])): the himp
+    table of a lattice's down masks, close the union of the up masks of a
+    mask's bits, or of a frame's up-sets, close its down.  Each distinct
+    difference d is closed once, from d & (d - 1) when that came first."""
+    nots = [~m for m in masks]
+    reach, imp = {0: 0}, {}
+    for d in sorted({b & c for b in masks for c in nots}, key=int.bit_count):
+        rest = d & (d - 1)
+        reach[d] = reach[rest] | close(d ^ rest) if rest in reach else close(d)
+        imp[d] = index.get(full & ~reach[d])
+    return [[imp[b & c] for c in nots] for b in masks]
 
 
 def _table(rows, size, what, cast):
@@ -206,8 +210,13 @@ def _planes(flat: list, n: int) -> list:
 def lattice_from_le(le) -> tuple:
     """Derive (meet, join, bot, top) from an order table; raises
     MalformedAlgebra when the order is not a bounded lattice."""
-    size = len(le)
-    down, up = _masks(_table(le, size, "le", bool))
+    return _lattice(*_masks(_table(le, len(le), "le", bool)))[:4]
+
+
+def _lattice(down, up) -> tuple:
+    """lattice_from_le on the order's masks, and {down[a]: a} if each meet
+    was looked up there, which makes meet a partial order's meet, or {}."""
+    size = len(down)
     full = (1 << size) - 1
     bots = [a for a in range(size) if up[a] == full]
     tops = [a for a in range(size) if down[a] == full]
@@ -218,43 +227,71 @@ def lattice_from_le(le) -> tuple:
         return lambda a, b: MalformedAlgebra(
             f"{what} of ({a}, {b}) does not exist")
 
-    meet = _greatest_rows((list(map(d.__and__, down)) for d in down), down,
-                          missing("meet"))
-    join = _greatest_rows((list(map(u.__and__, up)) for u in up), up,
-                          missing("join"))
-    return meet, join, bots[0], tops[0]
+    # down[meet(a, b)] is down[a] & down[b], up[join(a, b)] up[a] & up[b]
+    below, above = _index(down, up), _index(up, down)
+    ordered = len(below) == size
+    meet = _greatest_rows([x & y for x in down for y in down], down,
+                          missing("meet"), below)
+    join = _greatest_rows([x & y for x in up for y in up], up,
+                          missing("join"), above)
+    return meet, join, bots[0], tops[0], \
+        below if ordered and len(below) == size else {}
 
 
 def himp_from_order(le, meet) -> tuple:
     """The forced relative pseudocomplement: himp(b, c) is the greatest a
-    with meet(a, b) <= c; raises NotHeytingError when no greatest exists."""
-    cols = list(zip(*le))
-    return _greatest_rows((_residuals(cols, meet, b) for b in range(len(le))),
-                          _masks(le)[0], NotHeytingError)
+    with meet(a, b) <= c; raises NotHeytingError when no greatest exists.
+    It is looked up if meet is the order's, as lattice_from_le gives it."""
+    down, up = _masks(le)
+    index = _index(down, up)
+    if meet == tuple(tuple(map(index.get, map(d.__and__, down)))
+                     for d in down):
+        return _himp(down, up, index)
+    cols, cands = list(zip(*le)), []
+    for b in range(len(le)):
+        by_meet = [0] * len(le)     # disjoint: the a with meet(a, b) = m
+        for a in range(len(le)):
+            by_meet[meet[a][b]] |= 1 << a
+        cands += [sum(compress(by_meet, col)) for col in cols]
+    return _greatest_rows(cands, down, NotHeytingError, index)
 
 
-def _greatest_rows(rows, masks, error) -> tuple:
-    """The table of the greatest member of each candidate mask, row by
-    row: the one c in cands with cands & ~masks[c] == 0.  error(a, b) is
-    raised for the first entry with none or several, as on an order that
-    is not antisymmetric."""
-    best: dict = {}
-    out = []
-    for a, row in enumerate(rows):
-        for cands in set(row).difference(best):
-            found = [c for c in _ones(cands) if not cands & ~masks[c]]
-            best[cands] = found[0] if len(found) == 1 else None
-        picked = tuple(map(best.__getitem__, row))
+def _himp(down, up, index) -> tuple:
+    """himp_from_order for the order's own meet, by _himp_rows."""
+    rows = _himp_rows(down, partial(_union, up), index, (1 << len(down)) - 1)
+    for b, row in enumerate(rows):
+        if None in row:     # no element has that down-set
+            raise NotHeytingError(b, row.index(None))
+    return tuple(map(tuple, rows))
+
+
+def _index(masks, converse) -> dict:
+    """{masks[c]: c} on a reflexive, antisymmetric order, else {}."""
+    if any(m & v != 1 << c for c, (m, v) in enumerate(zip(masks, converse))):
+        return {}
+    return {m: c for c, m in enumerate(masks)}
+
+
+def _greatest_rows(cands: list, masks, error, best: dict) -> tuple:
+    """The table of the greatest member c of each candidate m, row-major,
+    with m & ~masks[c] == 0; raises error(a, b) for the first with none
+    or several.  best maps known candidates, and gains those scanned."""
+    picked = list(map(best.get, cands))
+    if None in picked:
+        for m in set(cands).difference(best):
+            found = [c for c in _ones(m) if not m & ~masks[c]]
+            best[m] = found[0] if len(found) == 1 else None
+        picked = list(map(best.__getitem__, cands))
         if None in picked:
-            raise error(a, picked.index(None))
-        out.append(picked)
-    return tuple(out)
+            raise error(*divmod(picked.index(None), len(masks)))
+    return tuple(zip(*[iter(picked)] * len(masks)))    # rows of len(masks)
 
 
 def algebra_from_le(le, name: str = "") -> FiniteHeytingAlgebra:
     """Complete an order table to a full Heyting algebra when possible."""
-    meet, join, bot, top = lattice_from_le(le)
-    himp = himp_from_order(_table(le, len(le), "le", bool), meet)
+    down, up = _masks(table := _table(le, len(le), "le", bool))
+    meet, join, bot, top, index = _lattice(down, up)
+    himp = _himp(down, up, index) if index else himp_from_order(table, meet)
     return make_algebra(len(le), le, meet, join, himp, bot, top, name)
 
 

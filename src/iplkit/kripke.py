@@ -16,7 +16,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .formula import (And, Bottom, Formula, Or, Variable, _ones, _record,
-                      variable_indices)
+                      _union, variable_indices)
 
 
 # Candidate valuations that find_countermodel may enumerate for one world
@@ -116,15 +116,6 @@ def _world_set(worlds: int) -> frozenset:
     return frozenset(range(worlds))
 
 
-def _down(pred: tuple, mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= pred[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def make_model(worlds: int, rel: Iterable, valuation: Mapping) -> KripkeModel:
     """A KripkeModel of raw pieces, made ints in frozensets and sorted by
     variable; no closure, and no validation past KripkeModel's own."""
@@ -175,7 +166,7 @@ def _frame(rel: frozenset, worlds: int) -> tuple:
         for b in _ones(row):
             out += [Violation("transitivity", (a, b, c))
                     for c in _ones(succ[b] & ~row)]
-    return succ, partial(_down, tuple(pred)), tuple(out)
+    return succ, partial(_union, tuple(pred)), tuple(out)
 
 
 def truth_mask(phi: Formula, atoms: Mapping, full: int, down,

@@ -12,6 +12,7 @@ from iplkit.cli import (MAX_HARNESS_ASSIGNMENTS, MAX_HARNESS_CANDIDATES,
                         build_parser, main)
 from iplkit.formula import And, Implies, Or, neg, render, var
 from iplkit.catalog import standard_algebras
+from iplkit import heyting
 from iplkit.heyting import algebra_to_json, chain
 from iplkit.kripke import _candidate_count, model_to_json, make_model
 from iplkit.proof import (Syllogism, WeakeningConj, WeakeningDisj, check,
@@ -177,6 +178,62 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == (f"bad algebra in {path}: operation table entry out "
                        "of range\n")
+
+
+# the product of the chains C2 and C3, elements in lexicographic order
+C2C3 = [(a, b) for a in range(2) for b in range(3)]
+
+
+def c2c3_table(op) -> list:
+    return [[C2C3.index((op(a, c), op(b, d))) for c, d in C2C3]
+            for a, b in C2C3]
+
+
+class TestDeclaredMeetWithoutHimp:
+    """An algebra given with meet and join but no himp gets the himp
+    that himp_from_order derives from the declared meet: looked up when
+    the meet is the order's, else summed from the meet table, with the
+    himp or the error that the summed residuals always gave."""
+
+    HIMP = ((5, 5, 5, 5, 5, 5), (3, 5, 5, 3, 5, 5), (3, 4, 5, 3, 4, 5),
+            (2, 2, 2, 5, 5, 5), (0, 2, 2, 3, 5, 5), (0, 1, 2, 3, 4, 5))
+
+    def doc(self, cell=None, value=None) -> dict:
+        meet = c2c3_table(min)
+        if cell is not None:
+            meet[cell[0]][cell[1]] = value
+        le = [[a <= c and b <= d for c, d in C2C3] for a, b in C2C3]
+        return {"size": 6, "le": le, "meet": meet, "join": c2c3_table(max),
+                "bot": 0, "top": 5}
+
+    def test_lawful_meet_is_looked_up(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        rows = heyting._himp_rows
+        monkeypatch.setattr(heyting, "_himp_rows",
+                            lambda *args: calls.append(1) or rows(*args))
+        assert heyting.algebra_from_json(self.doc()).himp == self.HIMP
+        assert calls == [1]
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(self.doc()))
+        code, out, err = run_cli(capsys, "alg-valid", str(path), "p0 | ~p0")
+        assert (code, json.loads(out), err) == (
+            1, {"valid": False, "assignment": {"p0": 1}}, "")
+
+    @pytest.mark.parametrize("cell,value,message", [
+        ((1, 2), 5, "not a Heyting algebra: Violation(kind='meet_lower_bound'"
+                    ", witness=(1, 2))"),
+        ((4, 4), 0, "no relative pseudocomplement for (4, 1)"),
+        ((5, 3), 5, "no relative pseudocomplement for (3, 3)"),
+    ])
+    def test_bogus_meet_exit_2(self, capsys, tmp_path, cell, value, message):
+        with pytest.raises(ValueError) as info:
+            heyting.algebra_from_json(self.doc(cell, value))
+        assert str(info.value) == message
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(self.doc(cell, value)))
+        code, out, err = run_cli(capsys, "alg-valid", str(path), "p0 | ~p0")
+        assert (code, out) == (2, "")
+        assert err == f"bad algebra in {path}: {message}\n"
 
 
 def modus_ponens_chain_json(n: int) -> str:

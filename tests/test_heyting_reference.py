@@ -2,7 +2,8 @@
 dense-table scans kept in reference_heyting.py.
 
 Completion must give the same tables or raise the same error class with
-the same message, on any relation, orders or not; validation must give
+the same message, on any relation, orders or not, and past 16 elements
+the same as the mask scans that its lookups replace; validation must give
 the same violations in the same order, on lawful algebras and on tables
 corrupted in one to three entries, and on algebras past 128 and 256
 elements the same residuation violations on the rows checked;
@@ -25,8 +26,8 @@ from iplkit import heyting, kripke
 from iplkit.bridge import closed_set_algebra
 from iplkit.catalog import standard_algebras
 from iplkit.formula import BOT, And, Implies, Or, neg, postorder, var
-from iplkit.heyting import (AlgConsequenceVerdict, _table, chain,
-                            consequence_over_algebras,
+from iplkit.heyting import (AlgConsequenceVerdict, _table, algebra_from_le,
+                            chain, consequence_over_algebras,
                             himp_from_order, interpret, lattice_from_le,
                             make_algebra, make_interpretation,
                             product_algebra, validate_algebra, Violation)
@@ -138,6 +139,109 @@ def test_corrupted_tables_match_reference(lengths, corruptions):
             top = v % n
     alg = make_algebra(n, le, meet, join, himp, bot, top)
     assert validate_algebra(alg) == reference_heyting.validate_algebra(alg)
+
+
+# ---------------------------------------------------------------------------
+# Completion past the reference's 16 elements: the mask lookups against the
+# mask scans and summed residuals that they replace.
+# ---------------------------------------------------------------------------
+
+
+def assert_lookups_agree(monkeypatch, le) -> None:
+    """lattice_from_le, himp_from_order and algebra_from_le give the same
+    tables, or raise the same error class with the same message, as with
+    heyting._index answering {} for every order, which makes completion
+    scan every candidate and sum every residual, as it did before the
+    lookups."""
+    table = _table(le, len(le), "le", bool)
+    lattice = outcome(lattice_from_le, le)
+    runs = [lattice, outcome(algebra_from_le, le)]
+    if lattice[0] == "ok":
+        runs.append(outcome(himp_from_order, table, lattice[1][0]))
+    with monkeypatch.context() as m:
+        m.setattr(heyting, "_index", lambda masks, converse: {})
+        m.setattr(heyting, "_himp_rows", None)  # no lookup is left
+        slow = [outcome(lattice_from_le, le), outcome(algebra_from_le, le)]
+        if lattice[0] == "ok":
+            slow.append(outcome(himp_from_order, table, lattice[1][0]))
+    assert runs == slow
+
+
+def poset_product(*les) -> list:
+    """The order table of a product of posets given by their tables, in
+    lexicographic order of the coordinates."""
+    elems = list(product(*(range(len(le)) for le in les)))
+    return [[all(le[i][j] for le, i, j in zip(les, a, b)) for b in elems]
+            for a in elems]
+
+
+def permuted(le, seed: int) -> list:
+    perm = list(range(len(le)))
+    random.Random(seed).shuffle(perm)
+    return [[le[a][b] for b in perm] for a in perm]
+
+
+def graph_le(n: int, edges) -> list:
+    """The reflexive and transitive closure of the edges on n elements."""
+    le = [[a == b or (a, b) in edges for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                le[a][b] = le[a][b] or (le[a][k] and le[k][b])
+    return le
+
+
+# bottom 0, top 4: the pentagon 0 < 1 < 2 < 4, 0 < 3 < 4, and the diamond
+# with three atoms, both lattices that are not distributive, so not Heyting
+N5 = graph_le(5, {(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)})
+M3 = graph_le(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)})
+# bounded, but the two middle elements 1 and 2 have no meet
+BOWTIE = graph_le(6, {(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                      (3, 5), (4, 5)})
+
+
+@pytest.mark.parametrize("n", [64, 128, 257])
+def test_chains_lookups_match_scans(monkeypatch, n):
+    assert_lookups_agree(monkeypatch, product_le((n,)))
+
+
+@pytest.mark.parametrize("lengths", [
+    (2, 2, 2, 2, 2, 2), (4, 4, 4), (8, 8), (3, 5, 4), (2, 32), (5, 3, 2, 2)],
+    ids=lambda lengths: "x".join(map(str, lengths)))
+def test_permuted_products_lookups_match_scans(monkeypatch, lengths):
+    le = product_le(lengths)
+    assert_lookups_agree(monkeypatch, le)
+    assert_lookups_agree(monkeypatch, permuted(le, size_of(lengths)))
+
+
+def drop(le, a, b) -> list:
+    """le without the pair (a, b)."""
+    return [[x and (i, j) != (a, b) for j, x in enumerate(row)]
+            for i, row in enumerate(le)]
+
+
+def twin(le, a) -> list:
+    """le with one more element, equivalent to a: not antisymmetric."""
+    rows = [row + [row[a]] for row in le]
+    return rows + [rows[a][:]]
+
+
+@pytest.mark.parametrize("le", [
+    pytest.param(poset_product(N5, product_le((8,))), id="N5xC8"),
+    pytest.param(poset_product(product_le((6,)), M3), id="C6xM3"),
+    pytest.param(poset_product(BOWTIE, product_le((6,))), id="BOWTIExC6"),
+    pytest.param(twin(product_le((4, 5)), 7), id="twin in C4xC5"),
+    # 5 <= 6 <= 7 in the chain, but not 5 <= 7: the scans complete it
+    pytest.param(drop(product_le((40,)), 5, 7), id="intransitive C40"),
+    pytest.param(drop(product_le((4, 5)), 6, 6), id="irreflexive C4xC5"),
+    # the scans find every meet and join, but no himp
+    pytest.param(drop(product_le((30,)), 12, 12), id="irreflexive C30"),
+])
+def test_broken_orders_lookups_match_scans(monkeypatch, le):
+    """Orders past 16 elements that are not Heyting, not lattices or not
+    partial orders, as given and renumbered."""
+    assert_lookups_agree(monkeypatch, le)
+    assert_lookups_agree(monkeypatch, permuted(le, len(le)))
 
 
 def residuation_rows(alg, rows) -> list:
